@@ -298,17 +298,20 @@ main(int argc, char **argv)
                 kShards, epochSecondsSharded, shardHistory.back().loss);
 
     // Gather traffic, exact vs delayed-halo: delayed pulls each halo row
-    // once per shard instead of once per cut edge.
+    // once per shard instead of once per cut edge. Exact shard-major
+    // execution is the flat kernel over the plan's order.
     registry.setEnabled(true);
+    obs::Counter &aggBytes = registry.counter("agg.bytes_gathered");
     obs::Counter &partBytes = registry.counter("partition.bytes_gathered");
     obs::Counter &partHaloBytes = registry.counter("partition.halo_bytes");
+    const std::uint64_t aggBytesBase = aggBytes.value();
     const std::uint64_t partBytesBase = partBytes.value();
     const std::uint64_t partHaloBase = partHaloBytes.value();
-    aggregateSharded(greedyPlan, features, aggOut, spec, false);
-    const std::uint64_t bytesExact = partBytes.value() - partBytesBase;
-    aggregateSharded(greedyPlan, features, aggOut, spec, true);
-    const std::uint64_t bytesDelayed =
-        partBytes.value() - partBytesBase - bytesExact;
+    aggregateBasic(graph, features, aggOut, spec,
+                   greedyPlan.shardMajorOrder);
+    const std::uint64_t bytesExact = aggBytes.value() - aggBytesBase;
+    aggregateDelayedHalo(greedyPlan, features, aggOut, spec);
+    const std::uint64_t bytesDelayed = partBytes.value() - partBytesBase;
     const std::uint64_t haloBytes = partHaloBytes.value() - partHaloBase;
     registry.setEnabled(metricsWereEnabled);
     std::printf("sharded gather bytes: exact %llu   delayed %llu   "

@@ -5,17 +5,9 @@
 
 namespace graphite {
 
-namespace {
-std::size_t
-paddedStride(std::size_t cols)
-{
-    return (cols + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-}
-} // namespace
-
 CompressedMatrix::CompressedMatrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), rowStride_(paddedStride(cols)),
-      values_(rows * paddedStride(cols)),
+    : rows_(rows), cols_(cols), rowStride_(paddedFloats(cols)),
+      values_(rows * paddedFloats(cols)),
       masks_(rows * maskWordsFor(cols)), nnz_(rows)
 {
 }
@@ -25,7 +17,7 @@ CompressedMatrix::reshape(std::size_t rows, std::size_t cols)
 {
     rows_ = rows;
     cols_ = cols;
-    rowStride_ = paddedStride(cols);
+    rowStride_ = paddedFloats(cols);
     if (values_.size() < rows * rowStride_)
         values_.resize(rows * rowStride_);
     if (masks_.size() < rows * maskWordsFor(cols))

@@ -82,6 +82,75 @@ GnnLayer::packedWeightsTransposed(Precision precision) const
     return packedNT_[slot];
 }
 
+namespace {
+
+/**
+ * The stored form a layer forward gathers: packed rows win when the
+ * compression technique supplies them, then bf16 rows under the Bf16
+ * precision technique, else fp32.
+ */
+GatherInput
+chooseInput(const DenseMatrix &in, const CompressedMatrix *inCompressed,
+            const Bf16Matrix *inBf16, const TechniqueConfig &tech)
+{
+    if (tech.compression && inCompressed != nullptr)
+        return *inCompressed;
+    if (tech.precision == Precision::Bf16 && inBf16 != nullptr)
+        return *inBf16;
+    return in;
+}
+
+/**
+ * How a layer walks the graph. A plan with >= 2 shards replaces the
+ * caller's order by its shard-major order — exact execution, bitwise
+ * equal to flat because no row's result depends on which task computes
+ * it. Under tech.delayedHalo the plan is also returned for the replica
+ * kernel (fp32/bf16 input only; packed input stays exact).
+ */
+struct Schedule
+{
+    std::span<const VertexId> order;
+    const PartitionPlan *delayedHalo = nullptr;
+};
+
+Schedule
+schedule(const CsrGraph &graph, std::span<const VertexId> order,
+         const PartitionPlan *plan, const GatherInput &in,
+         const TechniqueConfig &tech)
+{
+    if (plan == nullptr || plan->numShards() < 2)
+        return {order, nullptr};
+    GRAPHITE_ASSERT(plan->graph == &graph,
+                    "partition plan built for another graph");
+    const bool delayed = tech.delayedHalo && in.packed == nullptr;
+    return {plan->shardMajorOrder, delayed ? plan : nullptr};
+}
+
+/** Unfused aggregation of a^k: the replica kernel or the flat one. */
+void
+aggregateLayer(const CsrGraph &graph, const GatherInput &in,
+               DenseMatrix &out, const AggregationSpec &spec,
+               const Schedule &sched, const AggregationConfig &config)
+{
+    if (sched.delayedHalo != nullptr)
+        aggregateDelayedHalo(*sched.delayedHalo, in, out, spec, config);
+    else
+        aggregate(graph, in, out, spec, sched.order, config);
+}
+
+} // namespace
+
+void
+GnnLayer::updateUnfused(const DenseMatrix &agg, Precision precision,
+                        DenseMatrix &out) const
+{
+    gemm(GemmMode::NN, agg, packedWeights(precision), out);
+    if (!bias_.empty())
+        addBias(out, bias_);
+    if (relu_)
+        reluForward(out);
+}
+
 void
 GnnLayer::forwardInference(const CsrGraph &graph,
                            const AggregationSpec &spec,
@@ -95,75 +164,23 @@ GnnLayer::forwardInference(const CsrGraph &graph,
                            const TechniqueConfig &tech) const
 {
     GRAPHITE_TRACE_SPAN("layer.forward");
-    const UpdateOp update{&weights_, bias_, relu_,
-                          &packedWeights(tech.precision), tech.precision};
-    const bool packedIn = tech.compression && inCompressed != nullptr;
-    const bool bf16In = !packedIn &&
-                        tech.precision == Precision::Bf16 &&
-                        inBf16 != nullptr;
-    const bool sharded = plan != nullptr && plan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(plan->graph == &graph,
-                        "partition plan built for another graph");
-        // Compressed gathers have no sharded kernel: run the global
-        // kernels over the shard-major order (locality still applies).
-        if (packedIn)
-            order = plan->shardMajorOrder;
-    }
-    const bool shardedKernels = sharded && !packedIn;
-    const bool delayed = shardedKernels && tech.delayedHalo;
+    const GatherInput src = chooseInput(in, inCompressed, inBf16, tech);
+    const Schedule sched = schedule(graph, order, plan, src, tech);
     // Fusion has no delayed-halo variant (the replica phase breaks the
     // per-block pipeline); delayed runs take the unfused path below.
-    if (tech.fusion && !delayed) {
-        if (packedIn) {
-            fusedLayerInferenceCompressed(graph, *inCompressed, spec,
-                                          update, out, outCompressed,
-                                          order, tech.fused);
-        } else if (shardedKernels) {
-            if (bf16In)
-                fusedLayerInferenceShardedBf16(*plan, *inBf16, spec,
-                                               update, out, tech.fused,
-                                               outBf16);
-            else
-                fusedLayerInferenceSharded(*plan, in, spec, update, out,
-                                           tech.fused, outBf16);
-            outBf16 = nullptr; // converted write-side by the kernel
-            if (outCompressed)
-                outCompressed->compressFrom(out);
-            return;
-        } else if (bf16In) {
-            fusedLayerInferenceBf16(graph, *inBf16, spec, update, out,
-                                    order, tech.fused, outBf16);
-            outBf16 = nullptr; // converted write-side by the kernel
-        } else {
-            fusedLayerInference(graph, in, spec, update, out, order,
-                                tech.fused, outBf16);
-            outBf16 = nullptr;
-        }
-        if (outCompressed)
-            outCompressed->compressFrom(out);
-        if (outBf16)
-            outBf16->fromDense(out);
+    if (tech.fusion && sched.delayedHalo == nullptr) {
+        const UpdateOp update{&weights_, bias_, relu_,
+                              &packedWeights(tech.precision),
+                              tech.precision};
+        fusedLayer(graph, src, spec, update, out,
+                   {.compressed = outCompressed, .bf16 = outBf16},
+                   sched.order, tech.fused);
         return;
     }
     // Unfused path: aggregation materialises a^k, then one big GEMM.
     DenseMatrix agg(graph.numVertices(), inFeatures_);
-    if (packedIn)
-        aggregateCompressed(graph, *inCompressed, agg, spec, order,
-                            tech.agg);
-    else if (shardedKernels && bf16In)
-        aggregateShardedBf16(*plan, *inBf16, agg, spec, delayed, tech.agg);
-    else if (shardedKernels)
-        aggregateSharded(*plan, in, agg, spec, delayed, tech.agg);
-    else if (bf16In)
-        aggregateBf16(graph, *inBf16, agg, spec, order, tech.agg);
-    else
-        aggregateBasic(graph, in, agg, spec, order, tech.agg);
-    gemm(GemmMode::NN, agg, packedWeights(tech.precision), out);
-    if (!bias_.empty())
-        addBias(out, bias_);
-    if (relu_)
-        reluForward(out);
+    aggregateLayer(graph, src, agg, spec, sched, tech.agg);
+    updateUnfused(agg, tech.precision, out);
     if (outCompressed)
         outCompressed->compressFrom(out);
     if (outBf16)
@@ -195,67 +212,19 @@ GnnLayer::forwardTraining(const CsrGraph &graph, const AggregationSpec &spec,
         outCompressed = &ctx.outputCompressed;
     }
 
-    const UpdateOp update{&weights_, bias_, relu_,
-                          &packedWeights(tech.precision), tech.precision};
-    const bool packedIn = tech.compression && inCompressed != nullptr;
-    const bool bf16In = !packedIn &&
-                        tech.precision == Precision::Bf16 &&
-                        inBf16 != nullptr;
-    const bool sharded = plan != nullptr && plan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(plan->graph == &graph,
-                        "partition plan built for another graph");
-        if (packedIn)
-            order = plan->shardMajorOrder;
-    }
-    const bool shardedKernels = sharded && !packedIn;
-    const bool delayed = shardedKernels && tech.delayedHalo;
-    if (tech.fusion && !delayed) {
-        if (packedIn) {
-            fusedLayerTrainingCompressed(graph, *inCompressed, spec,
-                                         update, ctx.agg, ctx.output,
-                                         outCompressed, order, tech.fused);
-        } else if (shardedKernels) {
-            if (bf16In)
-                fusedLayerTrainingShardedBf16(*plan, *inBf16, spec,
-                                              update, ctx.agg, ctx.output,
-                                              tech.fused);
-            else
-                fusedLayerTrainingSharded(*plan, in, spec, update,
-                                          ctx.agg, ctx.output,
-                                          tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        } else if (bf16In) {
-            fusedLayerTrainingBf16(graph, *inBf16, spec, update, ctx.agg,
-                                   ctx.output, order, tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        } else {
-            fusedLayerTraining(graph, in, spec, update, ctx.agg,
-                               ctx.output, order, tech.fused);
-            if (outCompressed)
-                outCompressed->compressFrom(ctx.output);
-        }
+    const GatherInput src = chooseInput(in, inCompressed, inBf16, tech);
+    const Schedule sched = schedule(graph, order, plan, src, tech);
+    if (tech.fusion && sched.delayedHalo == nullptr) {
+        const UpdateOp update{&weights_, bias_, relu_,
+                              &packedWeights(tech.precision),
+                              tech.precision};
+        fusedLayer(graph, src, spec, update, ctx.output,
+                   {.agg = &ctx.agg, .compressed = outCompressed},
+                   sched.order, tech.fused);
         return;
     }
-    if (packedIn)
-        aggregateCompressed(graph, *inCompressed, ctx.agg, spec, order,
-                            tech.agg);
-    else if (shardedKernels && bf16In)
-        aggregateShardedBf16(*plan, *inBf16, ctx.agg, spec, delayed,
-                             tech.agg);
-    else if (shardedKernels)
-        aggregateSharded(*plan, in, ctx.agg, spec, delayed, tech.agg);
-    else if (bf16In)
-        aggregateBf16(graph, *inBf16, ctx.agg, spec, order, tech.agg);
-    else
-        aggregateBasic(graph, in, ctx.agg, spec, order, tech.agg);
-    gemm(GemmMode::NN, ctx.agg, packedWeights(tech.precision), ctx.output);
-    if (!bias_.empty())
-        addBias(ctx.output, bias_);
-    if (relu_)
-        reluForward(ctx.output);
+    aggregateLayer(graph, src, ctx.agg, spec, sched, tech.agg);
+    updateUnfused(ctx.agg, tech.precision, ctx.output);
     if (outCompressed)
         outCompressed->compressFrom(ctx.output);
 }
@@ -286,16 +255,12 @@ GnnLayer::backward(const CsrGraph &transposed,
 
     if (!gradIn)
         return;
-    const bool sharded = transposedPlan != nullptr &&
-                         transposedPlan->numShards() > 1;
-    if (sharded) {
-        GRAPHITE_ASSERT(transposedPlan->graph == &transposed,
-                        "partition plan built for another graph");
-    }
-    const bool delayed = sharded && tech.delayedHalo;
     // dh_prev = Aggᵀ(dz·Wᵀ) over the transposed graph.
+    const Schedule sched =
+        schedule(transposed, order, transposedPlan, gradOut, tech);
+    const GemmPlan &weightsNT = packedWeightsTransposed(tech.precision);
     gradIn->reshape(gradOut.rows(), inFeatures_);
-    if (tech.fusion && !delayed) {
+    if (tech.fusion && sched.delayedHalo == nullptr) {
         // Fused: per-block (Aggᵀ dz)·Wᵀ, dAgg never materialised (see
         // kernels/fused_layer.h on the commuted fusion direction).
         if (tech.precision == Precision::Bf16) {
@@ -304,39 +269,22 @@ GnnLayer::backward(const CsrGraph &transposed,
             // keep accumulating in fp32.
             dzBf16Scratch_.reshape(gradOut.rows(), outFeatures_);
             dzBf16Scratch_.fromDense(gradOut);
-            if (sharded)
-                fusedLayerBackwardShardedBf16(
-                    *transposedPlan, dzBf16Scratch_, transposedSpec,
-                    packedWeightsTransposed(tech.precision), *gradIn,
-                    tech.fused);
-            else
-                fusedLayerBackwardBf16(
-                    transposed, dzBf16Scratch_, transposedSpec,
-                    packedWeightsTransposed(tech.precision), *gradIn,
-                    order, tech.fused);
-        } else if (sharded) {
-            fusedLayerBackwardSharded(*transposedPlan, gradOut,
-                                      transposedSpec,
-                                      packedWeightsTransposed(), *gradIn,
-                                      tech.fused);
+            fusedLayerBackwardBf16(transposed, dzBf16Scratch_,
+                                   transposedSpec, weightsNT, *gradIn,
+                                   sched.order, tech.fused);
         } else {
             fusedLayerBackward(transposed, gradOut, transposedSpec,
-                               packedWeightsTransposed(), *gradIn, order,
+                               weightsNT, *gradIn, sched.order,
                                tech.fused);
         }
         return;
     }
     dAggScratch_.reshape(gradOut.rows(), inFeatures_);
-    gemm(GemmMode::NT, gradOut, packedWeightsTransposed(tech.precision),
-         dAggScratch_);
+    gemm(GemmMode::NT, gradOut, weightsNT, dAggScratch_);
     // dAgg rows stay fp32 here: converting a transient scratch to bf16
     // would add a full extra pass for no stored-traffic win.
-    if (sharded)
-        aggregateSharded(*transposedPlan, dAggScratch_, *gradIn,
-                         transposedSpec, delayed, tech.agg);
-    else
-        aggregateBasic(transposed, dAggScratch_, *gradIn, transposedSpec,
-                       order, tech.agg);
+    aggregateLayer(transposed, dAggScratch_, *gradIn, transposedSpec, sched,
+                   tech.agg);
 }
 
 void

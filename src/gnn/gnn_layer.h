@@ -120,11 +120,11 @@ class GnnLayer
      * rows to bf16 for the next layer.
      *
      * A non-null @p plan with >= 2 shards switches to shard-major
-     * execution: dense/bf16 paths run the sharded kernels (exact mode
-     * bit-identical; tech.delayedHalo selects the replica mode and, with
-     * fusion, falls back to unfused delayed aggregation + one GEMM);
-     * compressed gathers have no sharded kernel and instead run the
-     * global kernels over the plan's shard-major order.
+     * execution: the same kernels run over the plan's shard-major order
+     * (bit-identical to flat). tech.delayedHalo instead selects the
+     * replica kernel for fp32/bf16 gathers (compressed gathers stay
+     * exact) and, with fusion, falls back to unfused delayed
+     * aggregation + one GEMM.
      */
     void forwardInference(const CsrGraph &graph, const AggregationSpec &spec,
                           const DenseMatrix &in,
@@ -183,6 +183,10 @@ class GnnLayer
     std::span<const Feature> biasGrad() const { return biasGrad_; }
 
   private:
+    /** Unfused update: out = act(agg·W + b) as one whole-matrix GEMM. */
+    void updateUnfused(const DenseMatrix &agg, Precision precision,
+                       DenseMatrix &out) const;
+
     std::size_t inFeatures_;
     std::size_t outFeatures_;
     bool relu_;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "common/assert.h"
@@ -60,6 +61,28 @@ loadCsr(const std::string &path)
     in.read(reinterpret_cast<char *>(&numEdges), sizeof(numEdges));
     if (!in)
         fatal("truncated CSR header in '%s'", path.c_str());
+    // Header sizes are untrusted: bound them by VertexId's range (which
+    // also keeps numVertices + 1 from wrapping to an empty graph) and by
+    // the bytes actually left in the file, before allocating anything.
+    if (numVertices > std::numeric_limits<VertexId>::max())
+        fatal("CSR header in '%s' declares %llu vertices; VertexId holds "
+              "at most %llu",
+              path.c_str(), static_cast<unsigned long long>(numVertices),
+              static_cast<unsigned long long>(
+                  std::numeric_limits<VertexId>::max()));
+    const std::streamoff headerEnd = in.tellg();
+    in.seekg(0, std::ios::end);
+    const auto remaining =
+        static_cast<std::uint64_t>(in.tellg() - headerEnd);
+    in.seekg(headerEnd);
+    const std::uint64_t rowPtrBytes = (numVertices + 1) * sizeof(EdgeId);
+    if (numEdges > remaining / sizeof(VertexId) ||
+        rowPtrBytes + numEdges * sizeof(VertexId) > remaining)
+        fatal("CSR header in '%s' declares %llu vertices and %llu edges, "
+              "more than the %llu bytes left in the file",
+              path.c_str(), static_cast<unsigned long long>(numVertices),
+              static_cast<unsigned long long>(numEdges),
+              static_cast<unsigned long long>(remaining));
 
     std::vector<EdgeId> rowPtr(numVertices + 1);
     std::vector<VertexId> colIdx(numEdges);

@@ -7,6 +7,23 @@
 
 namespace graphite {
 
+namespace {
+
+/**
+ * The graph.delta_edges counter. Its first lookup registers the name,
+ * which allocates, so the constructor performs it: addEdge must not
+ * touch the heap after construction.
+ */
+obs::Counter &
+deltaEdgeCounter()
+{
+    static obs::Counter &counter =
+        obs::MetricsRegistry::global().counter("graph.delta_edges");
+    return counter;
+}
+
+} // namespace
+
 DeltaCsr::DeltaCsr(CsrGraph base, EdgeId maxDeltaEdges)
     : base_(std::move(base)), maxDeltaEdges_(maxDeltaEdges),
       baseRowsSorted_(base_.rowsSorted())
@@ -23,6 +40,7 @@ DeltaCsr::DeltaCsr(CsrGraph base, EdgeId maxDeltaEdges)
                 kSegmentEdges;
     poolSize_ += base_.numVertices();
     pool_ = std::make_unique<Segment[]>(poolSize_);
+    deltaEdgeCounter();
 }
 
 bool
@@ -84,9 +102,7 @@ DeltaCsr::addEdge(VertexId src, VertexId dst)
     // links above happen-before any reader that observes count+1.
     delta.count.store(count + 1, std::memory_order_release);
     deltaEdges_.fetch_add(1, std::memory_order_release);
-    static obs::Counter &deltaEdgeCounter =
-        obs::MetricsRegistry::global().counter("graph.delta_edges");
-    deltaEdgeCounter.add(1);
+    deltaEdgeCounter().add(1);
     return AddEdge::Added;
 }
 

@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "common/assert.h"
+#include "kernels/row_source.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -219,21 +220,6 @@ rowsGathered(const CsrGraph &graph, std::span<const VertexId> order,
     return rows;
 }
 
-/**
- * Prefetch the first @p lines cache lines of the feature vectors vertex
- * @p v's aggregation will gather (Algorithm 1 lines 8-9).
- */
-inline void
-prefetchVertexInputs(const CsrGraph &graph, const DenseMatrix &in,
-                     VertexId v, std::size_t lines)
-{
-    for (VertexId u : graph.neighbors(v)) {
-        const char *base = reinterpret_cast<const char *>(in.row(u));
-        for (std::size_t l = 0; l < lines; ++l)
-            __builtin_prefetch(base + l * kCacheLineBytes, 0, 3);
-    }
-}
-
 } // namespace
 
 void
@@ -252,112 +238,6 @@ aggregateVertex(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
 #endif
     aggregateVertexGeneric(graph, in, v, spec, dst);
 }
-
-void
-aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
-               DenseMatrix &out, const AggregationSpec &spec,
-               std::span<const VertexId> order,
-               const AggregationConfig &config)
-{
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
-                    "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateBasic: %s", error);
-    GRAPHITE_DCHECK(reinterpret_cast<std::uintptr_t>(in.data()) %
-                            kFeatureAlignment == 0,
-                    "input features must be cache-line aligned");
-
-    GRAPHITE_TRACE_SPAN("agg.basic");
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &bytesGathered =
-        metrics.counter("agg.bytes_gathered");
-    static obs::Counter &flops = metrics.counter("agg.flops");
-
-    parallelFor(0, n, config.taskSize,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("agg.block");
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v =
-                order.empty() ? static_cast<VertexId>(i) : order[i];
-            aggregateVertex(graph, in, v, spec, out.row(v));
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                const std::size_t ahead = i + config.prefetchDistance;
-                const VertexId next = order.empty()
-                    ? static_cast<VertexId>(ahead) : order[ahead];
-                prefetchVertexInputs(graph, in, next,
-                                     config.prefetchLines);
-            }
-        }
-        if (metrics.enabled()) {
-            const std::uint64_t rows =
-                rowsGathered(graph, order, begin, end);
-            bytesGathered.add(rows * in.rowBytes());
-            flops.add(2 * rows * in.cols());
-        }
-    });
-}
-
-void
-aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
-                    DenseMatrix &out, const AggregationSpec &spec,
-                    std::span<const VertexId> order,
-                    const AggregationConfig &config)
-{
-    const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
-                    "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
-    GRAPHITE_ASSERT(order.empty() || order.size() == n,
-                    "order must cover all vertices");
-    GRAPHITE_ASSERT(spec.reduce == ReduceOp::Sum,
-                    "compressed aggregation supports sum reduction");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateCompressed: %s", error);
-    const std::size_t stride = out.rowStride();
-
-    GRAPHITE_TRACE_SPAN("agg.compressed");
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &flops = metrics.counter("agg.flops");
-
-    parallelFor(0, n, config.taskSize,
-                [&](std::size_t begin, std::size_t end, std::size_t) {
-        GRAPHITE_TRACE_SPAN("agg.block");
-        if (metrics.enabled())
-            flops.add(2 * rowsGathered(graph, order, begin, end) *
-                      in.cols());
-        for (std::size_t i = begin; i < end; ++i) {
-            const VertexId v =
-                order.empty() ? static_cast<VertexId>(i) : order[i];
-            Feature *dst = out.row(v);
-            // Self term: expand row v scaled by its self factor. Start
-            // from zero then accumulate so the expanded zeros do not
-            // clobber anything.
-            std::fill(dst, dst + stride, 0.0f);
-            in.accumulateRow(v, spec.selfFactor(v), dst);
-            for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e) {
-                in.accumulateRow(graph.colIdx()[e], spec.edgeFactor(e),
-                                 dst);
-            }
-            if (config.prefetchDistance > 0 &&
-                i + config.prefetchDistance < end) {
-                const std::size_t ahead = i + config.prefetchDistance;
-                const VertexId next = order.empty()
-                    ? static_cast<VertexId>(ahead) : order[ahead];
-                for (VertexId u : graph.neighbors(next)) {
-                    __builtin_prefetch(in.values(u), 0, 3);
-                    __builtin_prefetch(in.mask(u), 0, 3);
-                }
-            }
-        }
-    });
-}
-
-namespace {
 
 /**
  * dst[0..f) ⊕= factor * bf16row (expanded to fp32). AVX-512 path
@@ -402,8 +282,6 @@ combineBf16Row(const std::uint16_t *src, std::size_t f, Feature factor,
     }
 }
 
-} // namespace
-
 void
 aggregateVertexBf16(const CsrGraph &graph, const Bf16Matrix &in,
                     VertexId v, const AggregationSpec &spec, Feature *dst,
@@ -420,27 +298,32 @@ aggregateVertexBf16(const CsrGraph &graph, const Bf16Matrix &in,
     }
 }
 
+namespace {
+
+/**
+ * The one whole-graph aggregation driver: Algorithm 1's dynamically
+ * scheduled vertex chunks over any row source (see row_source.h).
+ */
+template <typename Source>
 void
-aggregateBf16(const CsrGraph &graph, const Bf16Matrix &in,
-              DenseMatrix &out, const AggregationSpec &spec,
-              std::span<const VertexId> order,
+aggregateRows(const CsrGraph &graph, const Source &src, DenseMatrix &out,
+              const AggregationSpec &spec, std::span<const VertexId> order,
               const AggregationConfig &config)
 {
     const VertexId n = graph.numVertices();
-    GRAPHITE_ASSERT(in.rows() == n && out.rows() == n,
+    GRAPHITE_ASSERT(src.rows() == n && out.rows() == n,
                     "feature row count mismatch");
-    GRAPHITE_ASSERT(in.cols() == out.cols(), "feature width mismatch");
+    GRAPHITE_ASSERT(src.cols() == out.cols(), "feature width mismatch");
     GRAPHITE_ASSERT(order.empty() || order.size() == n,
                     "order must cover all vertices");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateBf16: %s", error);
-    const std::size_t stride = out.rowStride();
+    checkGather("aggregate", src, graph, spec);
 
-    GRAPHITE_TRACE_SPAN("agg.bf16");
+    GRAPHITE_TRACE_SPAN(Source::kAggSpan);
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     static obs::Counter &bytesGathered =
         metrics.counter("agg.bytes_gathered");
     static obs::Counter &flops = metrics.counter("agg.flops");
+    const Bytes rowBytes = metrics.enabled() ? src.rowBytes() : 0;
 
     parallelFor(0, n, config.taskSize,
                 [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -448,26 +331,61 @@ aggregateBf16(const CsrGraph &graph, const Bf16Matrix &in,
         for (std::size_t i = begin; i < end; ++i) {
             const VertexId v =
                 order.empty() ? static_cast<VertexId>(i) : order[i];
-            aggregateVertexBf16(graph, in, v, spec, out.row(v), stride);
+            src.aggregate(graph, v, spec, out.row(v));
             if (config.prefetchDistance > 0 &&
                 i + config.prefetchDistance < end) {
-                const std::size_t ahead =
-                    i + config.prefetchDistance;
+                const std::size_t ahead = i + config.prefetchDistance;
                 const VertexId next = order.empty()
                     ? static_cast<VertexId>(ahead) : order[ahead];
-                for (VertexId u : graph.neighbors(next))
-                    __builtin_prefetch(in.row(u), 0, 3);
+                src.prefetch(graph, next, config.prefetchLines);
             }
         }
         if (metrics.enabled()) {
             const std::uint64_t rows =
                 rowsGathered(graph, order, begin, end);
-            // in.rowBytes() is 2 bytes per element: the traffic halving
-            // the bytes-gathered comparison against fp32 runs measures.
-            bytesGathered.add(rows * in.rowBytes());
-            flops.add(2 * rows * in.cols());
+            bytesGathered.add(rows * rowBytes);
+            flops.add(2 * rows * src.cols());
         }
     });
+}
+
+} // namespace
+
+void
+aggregate(const CsrGraph &graph, const GatherInput &in, DenseMatrix &out,
+          const AggregationSpec &spec, std::span<const VertexId> order,
+          const AggregationConfig &config)
+{
+    withRowSource(in, [&](const auto &src) {
+        aggregateRows(graph, src, out, spec, order, config);
+    });
+}
+
+void
+aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
+               DenseMatrix &out, const AggregationSpec &spec,
+               std::span<const VertexId> order,
+               const AggregationConfig &config)
+{
+    aggregateRows(graph, DenseRows(in), out, spec, order, config);
+}
+
+void
+aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
+                    DenseMatrix &out, const AggregationSpec &spec,
+                    std::span<const VertexId> order,
+                    const AggregationConfig &config)
+{
+    aggregateRows(graph, PackedRows(in), out, spec, order, config);
+}
+
+void
+aggregateBf16(const CsrGraph &graph, const Bf16Matrix &in,
+              DenseMatrix &out, const AggregationSpec &spec,
+              std::span<const VertexId> order,
+              const AggregationConfig &config)
+{
+    aggregateRows(graph, Bf16Rows(in), out, spec, order, config);
 }
 
 void

@@ -114,20 +114,48 @@ struct AggregationConfig
 };
 
 /**
+ * The stored form a gather reads: fp32, bf16 or mask-compressed rows,
+ * each widened to fp32 lanes as it is gathered. Non-owning, and
+ * implicitly constructible from each matrix type, so a caller picks
+ * the form once and one kernel call serves all three.
+ */
+struct GatherInput
+{
+    GatherInput(const DenseMatrix &m) : dense(&m) {}
+    GatherInput(const Bf16Matrix &m) : bf16(&m) {}
+    GatherInput(const CompressedMatrix &m) : packed(&m) {}
+
+    /** Exactly one of these is set. @{ */
+    const DenseMatrix *dense = nullptr;
+    const Bf16Matrix *bf16 = nullptr;
+    const CompressedMatrix *packed = nullptr;
+    /** @} */
+};
+
+/**
  * Algorithm 1: out[v, :] = selfFactor(v)·in[v, :] +
- * Σ_{u ∈ N(v)} edgeFactor(v,u)·in[u, :], processed in @p order.
+ * Σ_{u ∈ N(v)} edgeFactor(v,u)·in[u, :], processed in @p order, with
+ * rows gathered from whichever stored form @p in holds. Accumulation
+ * is fp32 throughout; compressed input supports sum reduction only.
+ * Feeds agg.bytes_gathered with the stored size of each gathered row
+ * (4 B/element fp32, 2 bf16, the mean packed size compressed).
  *
  * @param order processing order (Section 4.4), or empty for identity.
  */
+void aggregate(const CsrGraph &graph, const GatherInput &in,
+               DenseMatrix &out, const AggregationSpec &spec,
+               std::span<const VertexId> order = {},
+               const AggregationConfig &config = {});
+
+/** aggregate() over fp32 rows — the `basic` kernel of Figure 11. */
 void aggregateBasic(const CsrGraph &graph, const DenseMatrix &in,
                     DenseMatrix &out, const AggregationSpec &spec,
                     std::span<const VertexId> order = {},
                     const AggregationConfig &config = {});
 
 /**
- * Aggregation reading mask-compressed input features (Section 4.3):
- * identical math to aggregateBasic, with each gathered row expanded
- * on the fly from its packed form.
+ * aggregate() over mask-compressed rows (Section 4.3): each gathered
+ * row is expanded on the fly from its packed form.
  */
 void aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
                          DenseMatrix &out, const AggregationSpec &spec,
@@ -135,10 +163,9 @@ void aggregateCompressed(const CsrGraph &graph, const CompressedMatrix &in,
                          const AggregationConfig &config = {});
 
 /**
- * Aggregation reading bf16 input features: each gathered row is
- * expanded to fp32 on the fly, halving feature traffic at reduced
+ * aggregate() over bf16 rows: halves feature traffic at reduced
  * precision — the dense-feature counterpart of mask compression (see
- * tensor/bf16_matrix.h). Accumulation stays in fp32.
+ * tensor/bf16_matrix.h).
  */
 void aggregateBf16(const CsrGraph &graph, const Bf16Matrix &in,
                    DenseMatrix &out, const AggregationSpec &spec,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "kernels/row_source.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
@@ -68,36 +69,21 @@ updScratch(std::size_t count)
 }
 /** @} */
 
-/** Single-vertex aggregation from compressed input into @p dst. */
-void
-aggregateVertexCompressed(const CsrGraph &graph, const CompressedMatrix &in,
-                          VertexId v, const AggregationSpec &spec,
-                          Feature *dst, std::size_t stride)
-{
-    GRAPHITE_ASSERT(spec.reduce == ReduceOp::Sum,
-                    "compressed aggregation supports sum reduction");
-    std::fill(dst, dst + stride, 0.0f);
-    in.accumulateRow(v, spec.selfFactor(v), dst);
-    for (EdgeId e = graph.rowBegin(v); e < graph.rowEnd(v); ++e)
-        in.accumulateRow(graph.colIdx()[e], spec.edgeFactor(e), dst);
-}
-
 /**
- * Shared driver for all fused variants — forward (aggregate→GEMM) and
- * backward (where the commuted form restores the same shape; see
- * fusedLayerBackward). @p aggregateOne fills one block row;
- * @p weightPlan is the prepacked operand of the per-block micro-GEMM;
- * @p aggOut (optional) persists the aggregation rows for backprop.
+ * The one fused driver — forward (aggregate→GEMM) and backward (where
+ * the commuted form restores the same shape; see fusedLayerBackward).
+ * @p src supplies the per-vertex aggregation and its prefetch (see
+ * row_source.h); @p weightPlan is the prepacked operand of the
+ * per-block micro-GEMM; @p side (optional) receives a^k and the
+ * write-side conversions of h^k.
  */
-template <typename AggregateFn, typename PrefetchFn>
+template <typename Source>
 void
-fusedDriver(const CsrGraph &graph, std::size_t inCols,
-            std::size_t inRowBytes, const GemmPlan &weightPlan,
+fusedDriver(const CsrGraph &graph, const Source &src,
+            const AggregationSpec &spec, const GemmPlan &weightPlan,
             std::span<const Feature> bias, bool relu, DenseMatrix &out,
             std::span<const VertexId> order, const FusedConfig &config,
-            AggregateFn &&aggregateOne, PrefetchFn &&prefetchFor,
-            DenseMatrix *aggOut, CompressedMatrix *outCompressed,
-            Bf16Matrix *outBf16)
+            const FusedOutputs &side)
 {
     const VertexId n = graph.numVertices();
     GRAPHITE_ASSERT(order.empty() || order.size() == n,
@@ -105,6 +91,7 @@ fusedDriver(const CsrGraph &graph, std::size_t inCols,
     // The same packed operand multiplies every vertex block (packed
     // once per layer invocation or reused from the layer's cached
     // plan) and is shared read-only by every task's micro-kernel.
+    const std::size_t inCols = src.cols();
     if (const char *error = weightPlan.validateFor(inCols, out.cols()))
         panic("fused layer weight plan: %s", error);
 
@@ -114,8 +101,7 @@ fusedDriver(const CsrGraph &graph, std::size_t inCols,
         blockSize * std::max<std::size_t>(1, config.blocksPerTask);
     // Padded strides of the block-local buffers match the matrices so
     // rows can be memcpy'd wholesale.
-    const std::size_t aggStride =
-        (inCols + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
+    const std::size_t aggStride = paddedFloats(inCols);
     const std::size_t outStride = out.rowStride();
 
     // Per-block accounting (paper Fig. 13's per-phase byte/FLOP story):
@@ -127,6 +113,7 @@ fusedDriver(const CsrGraph &graph, std::size_t inCols,
     static obs::Counter &flops = metrics.counter("fused.flops");
     static obs::Histogram &blockMicros =
         metrics.histogram("fused.block_us");
+    const Bytes inRowBytes = metrics.enabled() ? src.rowBytes() : 0;
 
     parallelFor(0, n, taskVertices,
                 [&](std::size_t begin, std::size_t end, std::size_t) {
@@ -145,26 +132,28 @@ fusedDriver(const CsrGraph &graph, std::size_t inCols,
                 const std::size_t i = j + m;
                 const VertexId v =
                     order.empty() ? static_cast<VertexId>(i) : order[i];
-                aggregateOne(v, agg + m * aggStride);
+                src.aggregate(graph, v, spec, agg + m * aggStride);
                 if (metricsOn)
                     rowsPulled += graph.rowEnd(v) - graph.rowBegin(v) + 1;
                 if (config.agg.prefetchDistance > 0 &&
                     i + config.agg.prefetchDistance < end) {
                     const std::size_t ahead =
                         i + config.agg.prefetchDistance;
-                    prefetchFor(order.empty()
-                                    ? static_cast<VertexId>(ahead)
-                                    : order[ahead]);
+                    src.prefetch(graph,
+                                 order.empty()
+                                     ? static_cast<VertexId>(ahead)
+                                     : order[ahead],
+                                 config.agg.prefetchLines);
                 }
             }
-            if (aggOut) {
+            if (side.agg) {
                 // Training keeps the whole a^k for back-propagation
                 // (Figure 5b): write the block out, indexed by vertex.
                 for (std::size_t m = 0; m < rows; ++m) {
                     const std::size_t i = j + m;
                     const VertexId v = order.empty()
                         ? static_cast<VertexId>(i) : order[i];
-                    std::memcpy(aggOut->row(v), agg + m * aggStride,
+                    std::memcpy(side.agg->row(v), agg + m * aggStride,
                                 aggStride * sizeof(Feature));
                 }
             }
@@ -179,11 +168,11 @@ fusedDriver(const CsrGraph &graph, std::size_t inCols,
                     order.empty() ? static_cast<VertexId>(i) : order[i];
                 std::memcpy(out.row(v), upd + m * outStride,
                             outStride * sizeof(Feature));
-                if (outCompressed)
-                    outCompressed->compressRowFrom(v, upd + m * outStride);
-                if (outBf16)
-                    convertRowToBf16(upd + m * outStride, outBf16->cols(),
-                                     outBf16->row(v));
+                if (side.compressed)
+                    side.compressed->compressRowFrom(v, upd + m * outStride);
+                if (side.bf16)
+                    convertRowToBf16(upd + m * outStride, side.bf16->cols(),
+                                     side.bf16->row(v));
             }
         }
         if (metricsOn) {
@@ -226,7 +215,68 @@ resolveForwardPlan(const UpdateOp &update, std::size_t inCols,
     return localPlan;
 }
 
+/**
+ * Backward prologue: the commuted (Aggᵀ dz)·Wᵀ pull-kernel over the
+ * transposed graph, for either stored form of dz.
+ */
+template <typename Source>
+void
+fusedBackward(const CsrGraph &transposed, const Source &dz,
+              const AggregationSpec &transposedSpec,
+              const GemmPlan &weightsNT, DenseMatrix &gradIn,
+              std::span<const VertexId> order, const FusedConfig &config)
+{
+    GRAPHITE_TRACE_SPAN("fused.backward");
+    GRAPHITE_ASSERT(dz.rows() == transposed.numVertices(),
+                    "row mismatch");
+    GRAPHITE_ASSERT(gradIn.rows() == dz.rows(), "gradIn row mismatch");
+    // The commutation below is only valid for a linear aggregation;
+    // Max-reduce backward needs argmax state the forward never saves.
+    GRAPHITE_ASSERT(transposedSpec.reduce == ReduceOp::Sum,
+                    "fused backward requires a sum-reduce aggregation");
+    checkGather("fusedLayerBackward", dz, transposed, transposedSpec);
+    // dh_prev = Aggᵀ(dz·Wᵀ) = (Aggᵀ dz)·Wᵀ: aggregation mixes rows and
+    // the weight GEMM mixes columns, so they commute. The commuted form
+    // turns the reversed fusion direction (GEMM→scatter-aggregate, which
+    // would need synchronised writes) back into the forward kernel's
+    // pull-shape: aggregate a block of dz rows over the transposed CSR
+    // into the L2-resident block buffer, then micro-GEMM it through the
+    // prepacked NT plan straight into gradIn. dAgg = dz·Wᵀ never exists.
+    fusedDriver(transposed, dz, transposedSpec, weightsNT, {}, false, gradIn,
+                order, config, {});
+}
+
 } // namespace
+
+void
+fusedLayer(const CsrGraph &graph, const GatherInput &in,
+           const AggregationSpec &spec, const UpdateOp &update,
+           DenseMatrix &out, const FusedOutputs &side,
+           std::span<const VertexId> order, const FusedConfig &config)
+{
+    GRAPHITE_TRACE_SPAN("fused.forward");
+    withRowSource(in, [&](const auto &src) {
+        GRAPHITE_ASSERT(src.rows() == graph.numVertices(), "row mismatch");
+        GRAPHITE_ASSERT(side.agg == nullptr ||
+                            (side.agg->rows() == src.rows() &&
+                             side.agg->cols() == src.cols()),
+                        "aggOut shape mismatch");
+        GRAPHITE_ASSERT(side.compressed == nullptr ||
+                            (side.compressed->rows() == out.rows() &&
+                             side.compressed->cols() == out.cols()),
+                        "outCompressed shape mismatch");
+        GRAPHITE_ASSERT(side.bf16 == nullptr ||
+                            (side.bf16->rows() == out.rows() &&
+                             side.bf16->cols() == out.cols()),
+                        "outBf16 shape mismatch");
+        checkGather("fusedLayer", src, graph, spec);
+        GemmPlan localPlan;
+        const GemmPlan &plan =
+            resolveForwardPlan(update, src.cols(), out.cols(), localPlan);
+        fusedDriver(graph, src, spec, plan, update.bias, update.relu, out,
+                    order, config, side);
+    });
+}
 
 void
 fusedLayerTraining(const CsrGraph &graph, const DenseMatrix &in,
@@ -235,31 +285,8 @@ fusedLayerTraining(const CsrGraph &graph, const DenseMatrix &in,
                    std::span<const VertexId> order,
                    const FusedConfig &config)
 {
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(aggOut.rows() == in.rows() &&
-                        aggOut.cols() == in.cols(),
-                    "aggOut shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerTraining: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    fusedDriver(
-        graph, in.cols(), in.rowBytes(), plan, update.bias, update.relu,
-        out, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(graph, in, v, spec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       in.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        &aggOut, nullptr, nullptr);
+    fusedLayer(graph, in, spec, update, out, {.agg = &aggOut}, order,
+               config);
 }
 
 void
@@ -268,66 +295,8 @@ fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
                     DenseMatrix &out, std::span<const VertexId> order,
                     const FusedConfig &config, Bf16Matrix *outBf16)
 {
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(outBf16 == nullptr ||
-                        (outBf16->rows() == out.rows() &&
-                         outBf16->cols() == out.cols()),
-                    "outBf16 shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerInference: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    fusedDriver(
-        graph, in.cols(), in.rowBytes(), plan, update.bias, update.relu,
-        out, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(graph, in, v, spec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       in.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        nullptr, nullptr, outBf16);
-}
-
-void
-fusedLayerTrainingBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                       const AggregationSpec &spec, const UpdateOp &update,
-                       DenseMatrix &aggOut, DenseMatrix &out,
-                       std::span<const VertexId> order,
-                       const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(aggOut.rows() == in.rows() &&
-                        aggOut.cols() == in.cols(),
-                    "aggOut shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerTrainingBf16: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    // Width of one fp32 block row; never exceeds the wider-padded bf16
-    // source rows (see aggregateVertexBf16).
-    const std::size_t aggWidth =
-        (in.cols() + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-    fusedDriver(
-        graph, in.cols(), in.rowBytes(), plan, update.bias, update.relu,
-        out, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(graph, in, v, spec, dst, aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next))
-                __builtin_prefetch(in.row(u), 0, 3);
-        },
-        &aggOut, nullptr, nullptr);
+    fusedLayer(graph, in, spec, update, out, {.bf16 = outBf16}, order,
+               config);
 }
 
 void
@@ -336,71 +305,8 @@ fusedLayerInferenceBf16(const CsrGraph &graph, const Bf16Matrix &in,
                         DenseMatrix &out, std::span<const VertexId> order,
                         const FusedConfig &config, Bf16Matrix *outBf16)
 {
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(outBf16 == nullptr ||
-                        (outBf16->rows() == out.rows() &&
-                         outBf16->cols() == out.cols()),
-                    "outBf16 shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerInferenceBf16: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    const std::size_t aggWidth =
-        (in.cols() + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-    fusedDriver(
-        graph, in.cols(), in.rowBytes(), plan, update.bias, update.relu,
-        out, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(graph, in, v, spec, dst, aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next))
-                __builtin_prefetch(in.row(u), 0, 3);
-        },
-        nullptr, nullptr, outBf16);
-}
-
-void
-fusedLayerTrainingCompressed(const CsrGraph &graph,
-                             const CompressedMatrix &in,
-                             const AggregationSpec &spec,
-                             const UpdateOp &update, DenseMatrix &aggOut,
-                             DenseMatrix &out,
-                             CompressedMatrix *outCompressed,
-                             std::span<const VertexId> order,
-                             const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    GRAPHITE_ASSERT(aggOut.rows() == in.rows() &&
-                        aggOut.cols() == in.cols(),
-                    "aggOut shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerTrainingCompressed: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    const std::size_t stride = in.rowStride();
-    // Mean stored bytes of one packed row (values + mask) — gathered
-    // traffic depends on each row's sparsity, so the counter uses the
-    // matrix-wide average.
-    const std::size_t rowBytes =
-        in.rows() > 0 ? in.compressedTrafficBytes() / in.rows() : 0;
-    fusedDriver(
-        graph, in.cols(), rowBytes, plan, update.bias, update.relu, out,
-        order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexCompressed(graph, in, v, spec, dst, stride);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.values(u), 0, 3);
-                __builtin_prefetch(in.mask(u), 0, 3);
-            }
-        },
-        &aggOut, outCompressed, nullptr);
+    fusedLayer(graph, in, spec, update, out, {.bf16 = outBf16}, order,
+               config);
 }
 
 void
@@ -412,29 +318,8 @@ fusedLayerInferenceCompressed(const CsrGraph &graph,
                               std::span<const VertexId> order,
                               const FusedConfig &config)
 {
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    GRAPHITE_ASSERT(in.rows() == graph.numVertices(), "row mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerInferenceCompressed: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &plan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    const std::size_t stride = in.rowStride();
-    const std::size_t rowBytes =
-        in.rows() > 0 ? in.compressedTrafficBytes() / in.rows() : 0;
-    fusedDriver(
-        graph, in.cols(), rowBytes, plan, update.bias, update.relu, out,
-        order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexCompressed(graph, in, v, spec, dst, stride);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.values(u), 0, 3);
-                __builtin_prefetch(in.mask(u), 0, 3);
-            }
-        },
-        nullptr, outCompressed, nullptr);
+    fusedLayer(graph, in, spec, update, out, {.compressed = outCompressed},
+               order, config);
 }
 
 void
@@ -444,38 +329,8 @@ fusedLayerBackward(const CsrGraph &transposed, const DenseMatrix &dz,
                    std::span<const VertexId> order,
                    const FusedConfig &config)
 {
-    GRAPHITE_TRACE_SPAN("fused.backward");
-    GRAPHITE_ASSERT(dz.rows() == transposed.numVertices(),
-                    "row mismatch");
-    GRAPHITE_ASSERT(gradIn.rows() == dz.rows(), "gradIn row mismatch");
-    // The commutation below is only valid for a linear aggregation;
-    // Max-reduce backward needs argmax state the forward never saves.
-    GRAPHITE_ASSERT(transposedSpec.reduce == ReduceOp::Sum,
-                    "fused backward requires a sum-reduce aggregation");
-    if (const char *error = validateSpec(transposedSpec, transposed))
-        panic("fusedLayerBackward: %s", error);
-    // dh_prev = Aggᵀ(dz·Wᵀ) = (Aggᵀ dz)·Wᵀ: aggregation mixes rows and
-    // the weight GEMM mixes columns, so they commute. The commuted form
-    // turns the reversed fusion direction (GEMM→scatter-aggregate, which
-    // would need synchronised writes) back into the forward kernel's
-    // pull-shape: aggregate a block of dz rows over the transposed CSR
-    // into the L2-resident block buffer, then micro-GEMM it through the
-    // prepacked NT plan straight into gradIn. dAgg = dz·Wᵀ never exists.
-    fusedDriver(
-        transposed, dz.cols(), dz.rowBytes(), weightsNT, {}, false,
-        gradIn, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(transposed, dz, v, transposedSpec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : transposed.neighbors(next)) {
-                __builtin_prefetch(dz.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       dz.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        nullptr, nullptr, nullptr);
+    fusedBackward(transposed, DenseRows(dz), transposedSpec, weightsNT,
+                  gradIn, order, config);
 }
 
 void
@@ -485,32 +340,12 @@ fusedLayerBackwardBf16(const CsrGraph &transposed, const Bf16Matrix &dz,
                        std::span<const VertexId> order,
                        const FusedConfig &config)
 {
-    GRAPHITE_TRACE_SPAN("fused.backward");
-    GRAPHITE_ASSERT(dz.rows() == transposed.numVertices(),
-                    "row mismatch");
-    GRAPHITE_ASSERT(gradIn.rows() == dz.rows(), "gradIn row mismatch");
-    GRAPHITE_ASSERT(transposedSpec.reduce == ReduceOp::Sum,
-                    "fused backward requires a sum-reduce aggregation");
+    // Same commuted pull-shape; only the gathered dz rows and the
+    // packed W operands are bf16-rounded.
     GRAPHITE_ASSERT(weightsNT.precision() == Precision::Bf16,
                     "bf16 fused backward needs a bf16 NT plan");
-    if (const char *error = validateSpec(transposedSpec, transposed))
-        panic("fusedLayerBackwardBf16: %s", error);
-    const std::size_t aggWidth =
-        (dz.cols() + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-    // Same commuted pull-shape as fusedLayerBackward; only the gathered
-    // dz rows and the packed W operands are bf16-rounded.
-    fusedDriver(
-        transposed, dz.cols(), dz.rowBytes(), weightsNT, {}, false,
-        gradIn, order, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(transposed, dz, v, transposedSpec, dst,
-                                aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : transposed.neighbors(next))
-                __builtin_prefetch(dz.row(u), 0, 3);
-        },
-        nullptr, nullptr, nullptr);
+    fusedBackward(transposed, Bf16Rows(dz), transposedSpec, weightsNT,
+                  gradIn, order, config);
 }
 
 void

@@ -61,14 +61,49 @@ struct FusedConfig
 };
 
 /**
- * Fused aggregation + update for training (Figure 5b): the aggregation
- * block is consumed by the update while cache-resident, but the whole
- * a^k matrix is still written out because back-propagation needs it.
+ * Side outputs of a fused forward, each written while its block is
+ * still cache-resident.
+ */
+struct FusedOutputs
+{
+    /**
+     * Training (Figure 5b): the whole |V| x F_in a^k is written out
+     * because back-propagation needs it. Null in inference (Figure 5c),
+     * where a^k lives only in a per-thread reusable block buffer.
+     */
+    DenseMatrix *agg = nullptr;
+    /**
+     * Packs each produced h^k row so the *next* layer reads packed data
+     * — the write-side compression where training's ReLU/dropout
+     * sparsity pays off. Must be |V| x F_out.
+     */
+    CompressedMatrix *compressed = nullptr;
+    /**
+     * Rounds each produced h^k row to bf16 — the write-side conversion
+     * that feeds the next layer's bf16 gathers without an extra pass
+     * over DRAM. Must be |V| x F_out.
+     */
+    Bf16Matrix *bf16 = nullptr;
+};
+
+/**
+ * Fused aggregation + update (Algorithm 2) over any stored form of the
+ * input: gathered bf16 or packed rows are widened to fp32 in registers
+ * during aggregation, so they never round-trip through a DRAM scratch,
+ * and the per-block micro-GEMM runs at the update op's precision.
+ * Compressed input supports sum reduction only.
  *
- * @param aggOut   full |V| x F_in aggregation matrix (kept for backprop).
  * @param out      |V| x F_out output features h^k.
+ * @param side     optional side outputs (a^k, packed or bf16 h^k).
  * @param order    processing order or empty for identity.
  */
+void fusedLayer(const CsrGraph &graph, const GatherInput &in,
+                const AggregationSpec &spec, const UpdateOp &update,
+                DenseMatrix &out, const FusedOutputs &side = {},
+                std::span<const VertexId> order = {},
+                const FusedConfig &config = {});
+
+/** fusedLayer() over fp32 rows, persisting a^k into @p aggOut. */
 void fusedLayerTraining(const CsrGraph &graph, const DenseMatrix &in,
                         const AggregationSpec &spec, const UpdateOp &update,
                         DenseMatrix &aggOut, DenseMatrix &out,
@@ -76,13 +111,9 @@ void fusedLayerTraining(const CsrGraph &graph, const DenseMatrix &in,
                         const FusedConfig &config = {});
 
 /**
- * Fused aggregation + update for inference (Figure 5c): a^k lives only
- * in a per-thread reusable block buffer and is never written to memory.
- *
- * @param outBf16 when non-null, each produced h^k row is also rounded
- *                to bf16 while cache-resident — the write-side
- *                conversion that feeds the next layer's bf16 gathers
- *                without an extra pass over DRAM. Must be |V| x F_out.
+ * fusedLayer() for inference over fp32, bf16 or packed rows, with the
+ * named write-side conversion of h^k (see FusedOutputs).
+ * @{
  */
 void fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
                          const AggregationSpec &spec, const UpdateOp &update,
@@ -91,46 +122,12 @@ void fusedLayerInference(const CsrGraph &graph, const DenseMatrix &in,
                          const FusedConfig &config = {},
                          Bf16Matrix *outBf16 = nullptr);
 
-/**
- * Bf16-input fused variants (the precision analogue of the compressed
- * pair): gathered rows are widened from bf16 to fp32 in registers
- * during aggregation, so half-width features never round-trip through
- * a DRAM scratch, and the per-block micro-GEMM runs at the update op's
- * precision. @p aggOut still persists fp32 aggregation rows (backprop
- * consumes them at full precision).
- * @{
- */
-void fusedLayerTrainingBf16(const CsrGraph &graph, const Bf16Matrix &in,
-                            const AggregationSpec &spec,
-                            const UpdateOp &update, DenseMatrix &aggOut,
-                            DenseMatrix &out,
-                            std::span<const VertexId> order = {},
-                            const FusedConfig &config = {});
-
 void fusedLayerInferenceBf16(const CsrGraph &graph, const Bf16Matrix &in,
                              const AggregationSpec &spec,
                              const UpdateOp &update, DenseMatrix &out,
                              std::span<const VertexId> order = {},
                              const FusedConfig &config = {},
                              Bf16Matrix *outBf16 = nullptr);
-/** @} */
-
-/**
- * Compressed-input variants (Section 4.3 combined with fusion): gathered
- * rows are expanded on the fly from @p in's packed form. When
- * @p outCompressed is non-null the produced h^k rows are also compressed
- * so the *next* layer reads packed data — that write-side compression is
- * where training's ReLU/dropout sparsity pays off.
- * @{
- */
-void fusedLayerTrainingCompressed(const CsrGraph &graph,
-                                  const CompressedMatrix &in,
-                                  const AggregationSpec &spec,
-                                  const UpdateOp &update,
-                                  DenseMatrix &aggOut, DenseMatrix &out,
-                                  CompressedMatrix *outCompressed = nullptr,
-                                  std::span<const VertexId> order = {},
-                                  const FusedConfig &config = {});
 
 void fusedLayerInferenceCompressed(const CsrGraph &graph,
                                    const CompressedMatrix &in,

@@ -1,109 +1,17 @@
 #include "kernels/shard_exec.h"
 
-#include <algorithm>
-#include <cstring>
-#include <span>
-#include <vector>
-
 #include "common/aligned_buffer.h"
 #include "common/assert.h"
+#include "kernels/row_source.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "parallel/thread_pool.h"
-#include "tensor/bf16_matrix.h"
-#include "tensor/gemm.h"
 
 namespace graphite {
 
 namespace {
 
-/**
- * One thread-pool task: a slice of one shard's owned run in
- * shardMajorOrder. Tasks never span a shard boundary, so the feature
- * slice a worker touches stays within the shard being processed.
- */
-struct ShardTask
-{
-    ShardId shard;
-    std::size_t begin;
-    std::size_t end;
-};
-
-/**
- * RAII view over the per-thread task scratch filled by shardTasks().
- * Destruction releases the scratch for the next kernel entry; together
- * with the reentrancy check in shardTasks() this turns a nested call
- * that would silently invalidate a live task list (the scratch is
- * clear()ed on every fill) into a debug-build failure.
- */
-class ShardTaskList
-{
-  public:
-    ShardTaskList(const std::vector<ShardTask> &tasks, bool &inUse)
-        : tasks_(tasks), inUse_(inUse)
-    {
-    }
-
-    ShardTaskList(const ShardTaskList &) = delete;
-    ShardTaskList &operator=(const ShardTaskList &) = delete;
-
-    ~ShardTaskList() { inUse_ = false; }
-
-    std::size_t size() const { return tasks_.size(); }
-    const ShardTask &operator[](std::size_t i) const { return tasks_[i]; }
-
-  private:
-    const std::vector<ShardTask> &tasks_;
-    bool &inUse_;
-};
-
-ShardTaskList
-shardTasks(const PartitionPlan &plan, std::size_t taskVertices)
-{
-    const std::size_t chunk = std::max<std::size_t>(1, taskVertices);
-    // Grow-only per-thread scratch: every kernel entry builds its task
-    // list on the calling thread and consumes it before the next entry
-    // runs, so reuse is safe and the steady state stays
-    // allocation-free. The in-use flag (cleared by the returned view's
-    // destructor) catches a reentrant call while a list is still live.
-    thread_local std::vector<ShardTask> tasks;
-    thread_local bool tasksInUse = false;
-    GRAPHITE_DCHECK(!tasksInUse,
-                    "shardTasks re-entered while a task list is live");
-    tasksInUse = true;
-    tasks.clear();
-    for (std::size_t s = 0; s < plan.numShards(); ++s) {
-        const std::size_t begin = plan.ownedStart[s];
-        const std::size_t end = plan.ownedStart[s + 1];
-        for (std::size_t b = begin; b < end; b += chunk) {
-            // graphite-lint: allow(alloc) grow-only append to the
-            // persistent thread-local list; no-op once warmed.
-            tasks.push_back({static_cast<ShardId>(s), b,
-                             std::min(b + chunk, end)});
-        }
-    }
-    return ShardTaskList(tasks, tasksInUse);
-}
-
-/** Per-worker grow-only scratch (the fused driver's buffer idiom). @{ */
-Feature *
-shardAggScratch(std::size_t count)
-{
-    thread_local AlignedBuffer<Feature> buf;
-    if (buf.size() < count)
-        buf.resize(count);
-    return buf.data();
-}
-
-Feature *
-shardUpdScratch(std::size_t count)
-{
-    thread_local AlignedBuffer<Feature> buf;
-    if (buf.size() < count)
-        buf.resize(count);
-    return buf.data();
-}
-
+/** Per-worker grow-only halo replica (the fused driver's idiom). */
 Feature *
 haloScratch(std::size_t count)
 {
@@ -112,146 +20,59 @@ haloScratch(std::size_t count)
         buf.resize(count);
     return buf.data();
 }
-/** @} */
-
-/** dst = op(dst, factor * src) over @p width fp32 lanes. */
-void
-combineRow(Feature *dst, const Feature *src, Feature factor,
-           std::size_t width, ReduceOp op)
-{
-    if (op == ReduceOp::Sum) {
-        #pragma omp simd
-        for (std::size_t c = 0; c < width; ++c)
-            dst[c] += factor * src[c];
-    } else {
-        #pragma omp simd
-        for (std::size_t c = 0; c < width; ++c)
-            dst[c] = std::max(dst[c], factor * src[c]);
-    }
-}
-
-/** dst = op(dst, factor * widen(src)) over @p width bf16 lanes. */
-void
-combineRowBf16(Feature *dst, const std::uint16_t *src, Feature factor,
-               std::size_t width, ReduceOp op)
-{
-    if (op == ReduceOp::Sum) {
-        #pragma omp simd
-        for (std::size_t c = 0; c < width; ++c)
-            dst[c] += factor * bf16ToFloat(src[c]);
-    } else {
-        #pragma omp simd
-        for (std::size_t c = 0; c < width; ++c)
-            dst[c] = std::max(dst[c], factor * bf16ToFloat(src[c]));
-    }
-}
-
-/** Fp32 padded width of one aggregation row. */
-std::size_t
-paddedWidth(std::size_t cols)
-{
-    return (cols + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-}
-
-/**
- * Exact shard-major aggregation: per-vertex building block over the
- * global CSR (bit-identical to the global kernel), shard-aligned tasks.
- */
-template <typename AggregateFn, typename PrefetchFn>
-void
-exactShardedAggregate(const PartitionPlan &plan, std::size_t rowBytes,
-                      const AggregationConfig &config,
-                      AggregateFn &&aggregateOne, PrefetchFn &&prefetchFor)
-{
-    const CsrGraph &graph = *plan.graph;
-    const ProcessingOrder &order = plan.shardMajorOrder;
-    const ShardTaskList tasks = shardTasks(plan, config.taskSize);
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &bytesGathered =
-        metrics.counter("partition.bytes_gathered");
-    parallelFor(0, tasks.size(), 1,
-                [&](std::size_t taskBegin, std::size_t taskEnd,
-                    std::size_t) {
-        const bool metricsOn = metrics.enabled();
-        for (std::size_t t = taskBegin; t < taskEnd; ++t) {
-            GRAPHITE_TRACE_SPAN("partition.shard");
-            const ShardTask &task = tasks[t];
-            std::uint64_t rowsPulled = 0;
-            for (std::size_t i = task.begin; i < task.end; ++i) {
-                const VertexId v = order[i];
-                aggregateOne(v);
-                if (metricsOn)
-                    rowsPulled += graph.degree(v) + 1;
-                if (config.prefetchDistance > 0 &&
-                    i + config.prefetchDistance < task.end)
-                    prefetchFor(order[i + config.prefetchDistance]);
-            }
-            if (metricsOn)
-                bytesGathered.add(rowsPulled * rowBytes);
-        }
-    });
-}
 
 /**
  * Delayed-halo aggregation. Phase A folds self + intra-shard terms
- * from the local CSR (shard-aligned tasks); phase B gathers each halo
- * row once into a shard-local replica and folds the cut-edge terms
- * from the cache-resident replica. Owned rows are written only by
- * their own shard in both phases, so no synchronisation is needed.
+ * from the local CSR, one parallel pass per shard over its owned run;
+ * phase B gathers each halo row once into a shard-local replica and
+ * folds the cut-edge terms from the cache-resident replica. Owned rows
+ * are written only by their own shard in both phases, so no
+ * synchronisation is needed.
  */
-template <typename InitSelfFn, typename AccumulateFn, typename ReplicaFn>
+template <typename Source>
 void
-delayedShardedAggregate(const PartitionPlan &plan, std::size_t width,
-                        std::size_t rowBytes, DenseMatrix &out,
-                        const AggregationSpec &spec,
-                        const AggregationConfig &config,
-                        InitSelfFn &&initSelf, AccumulateFn &&accumulate,
-                        ReplicaFn &&fillReplica)
+delayedHalo(const PartitionPlan &plan, const Source &src, DenseMatrix &out,
+            const AggregationSpec &spec, const AggregationConfig &config)
 {
+    const std::size_t width = paddedFloats(src.cols());
+    GRAPHITE_ASSERT(width <= out.rowStride(),
+                    "out stride narrower than input row");
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     static obs::Counter &bytesGathered =
         metrics.counter("partition.bytes_gathered");
     static obs::Counter &haloBytes =
         metrics.counter("partition.halo_bytes");
+    const Bytes rowBytes = src.rowBytes();
 
-    const ShardTaskList tasks = shardTasks(plan, config.taskSize);
-    parallelFor(0, tasks.size(), 1,
-                [&](std::size_t taskBegin, std::size_t taskEnd,
-                    std::size_t) {
-        const bool metricsOn = metrics.enabled();
-        for (std::size_t t = taskBegin; t < taskEnd; ++t) {
+    for (std::size_t s = 0; s < plan.numShards(); ++s) {
+        const Shard &shard = plan.shards[s];
+        const std::size_t ownedBegin = plan.ownedStart[s];
+        parallelFor(ownedBegin, plan.ownedStart[s + 1], config.taskSize,
+                    [&](std::size_t begin, std::size_t end, std::size_t) {
             GRAPHITE_TRACE_SPAN("partition.shard");
-            const ShardTask &task = tasks[t];
-            const Shard &shard = plan.shards[task.shard];
             std::uint64_t rowsPulled = 0;
-            for (std::size_t i = task.begin; i < task.end; ++i) {
+            for (std::size_t i = begin; i < end; ++i) {
                 const VertexId v = plan.shardMajorOrder[i];
-                const VertexId local = static_cast<VertexId>(
-                    i - plan.ownedStart[task.shard]);
+                const auto local = static_cast<VertexId>(i - ownedBegin);
                 Feature *dst = out.row(v);
-                initSelf(v, dst);
+                src.seed(v, spec.selfFactor(v), dst, width);
+                const EdgeId intraBegin = shard.localCsr.rowBegin(local);
                 const EdgeId intraEnd = shard.cutStart[local];
-                for (EdgeId idx = shard.localCsr.rowBegin(local);
-                     idx < intraEnd; ++idx) {
-                    const VertexId u =
-                        shard.vertices[shard.localCsr.colIdx()[idx]];
-                    accumulate(u, spec.edgeFactor(shard.globalEdge[idx]),
-                               dst);
+                for (EdgeId idx = intraBegin; idx < intraEnd; ++idx) {
+                    src.combine(shard.vertices[shard.localCsr.colIdx()[idx]],
+                                spec.edgeFactor(shard.globalEdge[idx]), dst,
+                                width, spec.reduce);
                 }
-                if (metricsOn) {
-                    rowsPulled += 1 + (intraEnd -
-                                       shard.localCsr.rowBegin(local));
-                }
+                rowsPulled += 1 + (intraEnd - intraBegin);
             }
-            if (metricsOn)
+            if (metrics.enabled())
                 bytesGathered.add(rowsPulled * rowBytes);
-        }
-    });
+        });
+    }
 
     parallelFor(0, plan.numShards(), 1,
                 [&](std::size_t shardBegin, std::size_t shardEnd,
                     std::size_t) {
-        const bool metricsOn = metrics.enabled();
         for (std::size_t s = shardBegin; s < shardEnd; ++s) {
             const Shard &shard = plan.shards[s];
             const VertexId numHalo = shard.numHalo();
@@ -260,10 +81,10 @@ delayedShardedAggregate(const PartitionPlan &plan, std::size_t width,
             GRAPHITE_TRACE_SPAN("partition.shard");
             Feature *replica = haloScratch(numHalo * width);
             for (VertexId h = 0; h < numHalo; ++h) {
-                fillReplica(shard.vertices[shard.numOwned + h],
-                            replica + h * width);
+                src.widen(shard.vertices[shard.numOwned + h],
+                          replica + h * width, width);
             }
-            if (metricsOn) {
+            if (metrics.enabled()) {
                 const std::uint64_t pulled =
                     static_cast<std::uint64_t>(numHalo) * rowBytes;
                 haloBytes.add(pulled);
@@ -287,451 +108,33 @@ delayedShardedAggregate(const PartitionPlan &plan, std::size_t width,
     });
 }
 
-/** Apply bias and ReLU to @p numRows block rows in place. */
-void
-finishUpdateBlock(Feature *rows, std::size_t numRows, std::size_t stride,
-                  std::size_t cols, std::span<const Feature> bias,
-                  bool relu)
-{
-    for (std::size_t r = 0; r < numRows; ++r) {
-        Feature *row = rows + r * stride;
-        if (!bias.empty()) {
-            #pragma omp simd
-            for (std::size_t c = 0; c < cols; ++c)
-                row[c] += bias[c];
-        }
-        if (relu) {
-            #pragma omp simd
-            for (std::size_t c = 0; c < cols; ++c)
-                row[c] = std::max(row[c], 0.0f);
-        }
-        for (std::size_t c = cols; c < stride; ++c)
-            row[c] = 0.0f;
-    }
-}
-
-/**
- * Shard-major twin of the fused driver: the same per-block
- * aggregate→gemmBlockSerial loop, with blocks carved from shard-aligned
- * tasks over plan.shardMajorOrder. Block composition does not affect
- * per-row results, so outputs match the global fused kernels bitwise.
- */
-template <typename AggregateFn, typename PrefetchFn>
-void
-shardedFusedDriver(const PartitionPlan &plan, std::size_t inCols,
-                   std::size_t inRowBytes, const GemmPlan &weightPlan,
-                   std::span<const Feature> bias, bool relu,
-                   DenseMatrix &out, const FusedConfig &config,
-                   AggregateFn &&aggregateOne, PrefetchFn &&prefetchFor,
-                   DenseMatrix *aggOut, Bf16Matrix *outBf16)
-{
-    const CsrGraph &graph = *plan.graph;
-    const ProcessingOrder &order = plan.shardMajorOrder;
-    if (const char *error = weightPlan.validateFor(inCols, out.cols()))
-        panic("sharded fused layer weight plan: %s", error);
-
-    const std::size_t blockSize = std::max<std::size_t>(1,
-                                                        config.blockSize);
-    const std::size_t taskVertices =
-        blockSize * std::max<std::size_t>(1, config.blocksPerTask);
-    const std::size_t aggStride = paddedWidth(inCols);
-    const std::size_t outStride = out.rowStride();
-    const ShardTaskList tasks = shardTasks(plan, taskVertices);
-
-    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
-    static obs::Counter &bytesGathered =
-        metrics.counter("fused.bytes_gathered");
-    static obs::Counter &shardBytes =
-        metrics.counter("partition.bytes_gathered");
-    static obs::Counter &flops = metrics.counter("fused.flops");
-    static obs::Histogram &blockMicros =
-        metrics.histogram("fused.block_us");
-
-    parallelFor(0, tasks.size(), 1,
-                [&](std::size_t taskBegin, std::size_t taskEnd,
-                    std::size_t) {
-        const bool metricsOn = metrics.enabled();
-        Feature *agg = shardAggScratch(blockSize * aggStride);
-        Feature *upd = shardUpdScratch(blockSize * outStride);
-        for (std::size_t t = taskBegin; t < taskEnd; ++t) {
-            GRAPHITE_TRACE_SPAN("partition.shard");
-            const ShardTask &task = tasks[t];
-            const obs::TraceNs taskStart =
-                metricsOn ? obs::TraceRecorder::now() : 0;
-            std::uint64_t rowsPulled = 0;
-            for (std::size_t j = task.begin; j < task.end;
-                 j += blockSize) {
-                const std::size_t blockEnd =
-                    std::min(j + blockSize, task.end);
-                const std::size_t rows = blockEnd - j;
-                for (std::size_t m = 0; m < rows; ++m) {
-                    const std::size_t i = j + m;
-                    const VertexId v = order[i];
-                    aggregateOne(v, agg + m * aggStride);
-                    if (metricsOn)
-                        rowsPulled += graph.degree(v) + 1;
-                    if (config.agg.prefetchDistance > 0 &&
-                        i + config.agg.prefetchDistance < task.end)
-                        prefetchFor(order[i + config.agg.prefetchDistance]);
-                }
-                if (aggOut) {
-                    for (std::size_t m = 0; m < rows; ++m) {
-                        const VertexId v = order[j + m];
-                        std::memcpy(aggOut->row(v), agg + m * aggStride,
-                                    aggStride * sizeof(Feature));
-                    }
-                }
-                gemmBlockSerial(agg, rows, aggStride, weightPlan, upd,
-                                outStride, inCols);
-                finishUpdateBlock(upd, rows, outStride, out.cols(), bias,
-                                  relu);
-                for (std::size_t m = 0; m < rows; ++m) {
-                    const VertexId v = order[j + m];
-                    std::memcpy(out.row(v), upd + m * outStride,
-                                outStride * sizeof(Feature));
-                    if (outBf16)
-                        convertRowToBf16(upd + m * outStride,
-                                         outBf16->cols(), outBf16->row(v));
-                }
-            }
-            if (metricsOn) {
-                const std::uint64_t taskRows = task.end - task.begin;
-                bytesGathered.add(rowsPulled * inRowBytes);
-                shardBytes.add(rowsPulled * inRowBytes);
-                flops.add(2 * rowsPulled * inCols +
-                          2 * taskRows * inCols * out.cols());
-                blockMicros.observe(
-                    (obs::TraceRecorder::now() - taskStart) / 1000);
-            }
-        }
-    });
-}
-
-/** Forward-plan resolution (the fused_layer.cpp helper, shard twin). */
-const GemmPlan &
-resolveForwardPlan(const UpdateOp &update, std::size_t inCols,
-                   std::size_t outCols, GemmPlan &localPlan)
-{
-    GRAPHITE_ASSERT(update.weights != nullptr, "update weights required");
-    GRAPHITE_ASSERT(update.weights->rows() == inCols,
-                    "weight rows must equal input feature width");
-    GRAPHITE_ASSERT(update.weights->cols() == outCols,
-                    "weight cols must equal output feature width");
-    if (update.packedWeights != nullptr) {
-        GRAPHITE_ASSERT(update.packedWeights->precision() ==
-                            update.precision,
-                        "cached weight plan precision mismatch");
-        return *update.packedWeights;
-    }
-    localPlan.pack(GemmMode::NN, *update.weights, update.precision);
-    return localPlan;
-}
-
-/** Common entry checks of every sharded kernel. */
-void
-checkPlan(const PartitionPlan &plan, std::size_t inRows,
-          const char *where)
-{
-    GRAPHITE_ASSERT(plan.graph != nullptr, "plan references no graph");
-    if (inRows != plan.graph->numVertices())
-        panic("%s: input rows differ from the plan's graph", where);
-    if (plan.shardMajorOrder.size() != plan.graph->numVertices())
-        panic("%s: plan does not cover the graph", where);
-}
-
 } // namespace
 
 void
-aggregateSharded(const PartitionPlan &plan, const DenseMatrix &in,
-                 DenseMatrix &out, const AggregationSpec &spec,
-                 bool delayedHalo, const AggregationConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("agg.sharded");
-    checkPlan(plan, in.rows(), "aggregateSharded");
-    const CsrGraph &graph = *plan.graph;
-    GRAPHITE_ASSERT(out.rows() == in.rows() && out.cols() == in.cols(),
-                    "out shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateSharded: %s", error);
-    if (delayedHalo) {
-        const std::size_t width = paddedWidth(in.cols());
-        GRAPHITE_ASSERT(width <= out.rowStride(),
-                        "out stride narrower than input row");
-        delayedShardedAggregate(
-            plan, width, in.rowBytes(), out, spec, config,
-            [&](VertexId v, Feature *dst) {
-                const Feature *src = in.row(v);
-                const Feature factor = spec.selfFactor(v);
-                #pragma omp simd
-                for (std::size_t c = 0; c < width; ++c)
-                    dst[c] = factor * src[c];
-            },
-            [&](VertexId u, Feature factor, Feature *dst) {
-                combineRow(dst, in.row(u), factor, width, spec.reduce);
-            },
-            [&](VertexId u, Feature *dst) {
-                std::memcpy(dst, in.row(u), width * sizeof(Feature));
-            });
-        return;
-    }
-    exactShardedAggregate(
-        plan, in.rowBytes(), config,
-        [&](VertexId v) {
-            aggregateVertex(graph, in, v, spec, out.row(v));
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       in.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        });
-}
-
-void
-aggregateShardedBf16(const PartitionPlan &plan, const Bf16Matrix &in,
+aggregateDelayedHalo(const PartitionPlan &plan, const GatherInput &in,
                      DenseMatrix &out, const AggregationSpec &spec,
-                     bool delayedHalo, const AggregationConfig &config)
+                     const AggregationConfig &config)
 {
-    GRAPHITE_TRACE_SPAN("agg.sharded");
-    checkPlan(plan, in.rows(), "aggregateShardedBf16");
+    GRAPHITE_TRACE_SPAN("agg.delayed_halo");
+    GRAPHITE_ASSERT(in.packed == nullptr,
+                    "delayed-halo aggregation reads fp32 or bf16 rows");
+    GRAPHITE_ASSERT(plan.graph != nullptr, "plan references no graph");
     const CsrGraph &graph = *plan.graph;
-    GRAPHITE_ASSERT(out.rows() == in.rows() && out.cols() == in.cols(),
-                    "out shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("aggregateShardedBf16: %s", error);
-    const std::size_t width = paddedWidth(in.cols());
-    GRAPHITE_ASSERT(width <= out.rowStride(),
-                    "out stride narrower than input row");
-    if (delayedHalo) {
-        delayedShardedAggregate(
-            plan, width, in.rowBytes(), out, spec, config,
-            [&](VertexId v, Feature *dst) {
-                const std::uint16_t *src = in.row(v);
-                const Feature factor = spec.selfFactor(v);
-                #pragma omp simd
-                for (std::size_t c = 0; c < width; ++c)
-                    dst[c] = factor * bf16ToFloat(src[c]);
-            },
-            [&](VertexId u, Feature factor, Feature *dst) {
-                combineRowBf16(dst, in.row(u), factor, width,
-                               spec.reduce);
-            },
-            [&](VertexId u, Feature *dst) {
-                convertRowFromBf16(in.row(u), width, dst);
-            });
-        return;
-    }
-    exactShardedAggregate(
-        plan, in.rowBytes(), config,
-        [&](VertexId v) {
-            aggregateVertexBf16(graph, in, v, spec, out.row(v), width);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next))
-                __builtin_prefetch(in.row(u), 0, 3);
-        });
-}
-
-void
-fusedLayerTrainingSharded(const PartitionPlan &plan, const DenseMatrix &in,
-                          const AggregationSpec &spec,
-                          const UpdateOp &update, DenseMatrix &aggOut,
-                          DenseMatrix &out, const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    checkPlan(plan, in.rows(), "fusedLayerTrainingSharded");
-    const CsrGraph &graph = *plan.graph;
-    GRAPHITE_ASSERT(aggOut.rows() == in.rows() &&
-                        aggOut.cols() == in.cols(),
-                    "aggOut shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerTrainingSharded: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &weightPlan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    shardedFusedDriver(
-        plan, in.cols(), in.rowBytes(), weightPlan, update.bias,
-        update.relu, out, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(graph, in, v, spec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       in.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        &aggOut, nullptr);
-}
-
-void
-fusedLayerInferenceSharded(const PartitionPlan &plan, const DenseMatrix &in,
-                           const AggregationSpec &spec,
-                           const UpdateOp &update, DenseMatrix &out,
-                           const FusedConfig &config, Bf16Matrix *outBf16)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    checkPlan(plan, in.rows(), "fusedLayerInferenceSharded");
-    const CsrGraph &graph = *plan.graph;
-    GRAPHITE_ASSERT(outBf16 == nullptr ||
-                        (outBf16->rows() == out.rows() &&
-                         outBf16->cols() == out.cols()),
-                    "outBf16 shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerInferenceSharded: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &weightPlan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    shardedFusedDriver(
-        plan, in.cols(), in.rowBytes(), weightPlan, update.bias,
-        update.relu, out, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(graph, in, v, spec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next)) {
-                __builtin_prefetch(in.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       in.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        nullptr, outBf16);
-}
-
-void
-fusedLayerTrainingShardedBf16(const PartitionPlan &plan,
-                              const Bf16Matrix &in,
-                              const AggregationSpec &spec,
-                              const UpdateOp &update, DenseMatrix &aggOut,
-                              DenseMatrix &out, const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    checkPlan(plan, in.rows(), "fusedLayerTrainingShardedBf16");
-    const CsrGraph &graph = *plan.graph;
-    GRAPHITE_ASSERT(aggOut.rows() == in.rows() &&
-                        aggOut.cols() == in.cols(),
-                    "aggOut shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerTrainingShardedBf16: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &weightPlan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    const std::size_t aggWidth = paddedWidth(in.cols());
-    shardedFusedDriver(
-        plan, in.cols(), in.rowBytes(), weightPlan, update.bias,
-        update.relu, out, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(graph, in, v, spec, dst, aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next))
-                __builtin_prefetch(in.row(u), 0, 3);
-        },
-        &aggOut, nullptr);
-}
-
-void
-fusedLayerInferenceShardedBf16(const PartitionPlan &plan,
-                               const Bf16Matrix &in,
-                               const AggregationSpec &spec,
-                               const UpdateOp &update, DenseMatrix &out,
-                               const FusedConfig &config,
-                               Bf16Matrix *outBf16)
-{
-    GRAPHITE_TRACE_SPAN("fused.forward");
-    checkPlan(plan, in.rows(), "fusedLayerInferenceShardedBf16");
-    const CsrGraph &graph = *plan.graph;
-    GRAPHITE_ASSERT(outBf16 == nullptr ||
-                        (outBf16->rows() == out.rows() &&
-                         outBf16->cols() == out.cols()),
-                    "outBf16 shape mismatch");
-    if (const char *error = validateSpec(spec, graph))
-        panic("fusedLayerInferenceShardedBf16: %s", error);
-    GemmPlan localPlan;
-    const GemmPlan &weightPlan =
-        resolveForwardPlan(update, in.cols(), out.cols(), localPlan);
-    const std::size_t aggWidth = paddedWidth(in.cols());
-    shardedFusedDriver(
-        plan, in.cols(), in.rowBytes(), weightPlan, update.bias,
-        update.relu, out, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(graph, in, v, spec, dst, aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : graph.neighbors(next))
-                __builtin_prefetch(in.row(u), 0, 3);
-        },
-        nullptr, outBf16);
-}
-
-void
-fusedLayerBackwardSharded(const PartitionPlan &transposedPlan,
-                          const DenseMatrix &dz,
-                          const AggregationSpec &transposedSpec,
-                          const GemmPlan &weightsNT, DenseMatrix &gradIn,
-                          const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.backward");
-    checkPlan(transposedPlan, dz.rows(), "fusedLayerBackwardSharded");
-    const CsrGraph &transposed = *transposedPlan.graph;
-    GRAPHITE_ASSERT(gradIn.rows() == dz.rows(), "gradIn row mismatch");
-    GRAPHITE_ASSERT(transposedSpec.reduce == ReduceOp::Sum,
-                    "fused backward requires a sum-reduce aggregation");
-    if (const char *error = validateSpec(transposedSpec, transposed))
-        panic("fusedLayerBackwardSharded: %s", error);
-    shardedFusedDriver(
-        transposedPlan, dz.cols(), dz.rowBytes(), weightsNT, {}, false,
-        gradIn, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertex(transposed, dz, v, transposedSpec, dst);
-        },
-        [&](VertexId next) {
-            for (VertexId u : transposed.neighbors(next)) {
-                __builtin_prefetch(dz.row(u), 0, 3);
-                __builtin_prefetch(reinterpret_cast<const char *>(
-                                       dz.row(u)) + kCacheLineBytes,
-                                   0, 3);
-            }
-        },
-        nullptr, nullptr);
-}
-
-void
-fusedLayerBackwardShardedBf16(const PartitionPlan &transposedPlan,
-                              const Bf16Matrix &dz,
-                              const AggregationSpec &transposedSpec,
-                              const GemmPlan &weightsNT,
-                              DenseMatrix &gradIn,
-                              const FusedConfig &config)
-{
-    GRAPHITE_TRACE_SPAN("fused.backward");
-    checkPlan(transposedPlan, dz.rows(), "fusedLayerBackwardShardedBf16");
-    const CsrGraph &transposed = *transposedPlan.graph;
-    GRAPHITE_ASSERT(gradIn.rows() == dz.rows(), "gradIn row mismatch");
-    GRAPHITE_ASSERT(transposedSpec.reduce == ReduceOp::Sum,
-                    "fused backward requires a sum-reduce aggregation");
-    GRAPHITE_ASSERT(weightsNT.precision() == Precision::Bf16,
-                    "bf16 fused backward needs a bf16 NT plan");
-    if (const char *error = validateSpec(transposedSpec, transposed))
-        panic("fusedLayerBackwardShardedBf16: %s", error);
-    const std::size_t aggWidth = paddedWidth(dz.cols());
-    shardedFusedDriver(
-        transposedPlan, dz.cols(), dz.rowBytes(), weightsNT, {}, false,
-        gradIn, config,
-        [&](VertexId v, Feature *dst) {
-            aggregateVertexBf16(transposed, dz, v, transposedSpec, dst,
-                                aggWidth);
-        },
-        [&](VertexId next) {
-            for (VertexId u : transposed.neighbors(next))
-                __builtin_prefetch(dz.row(u), 0, 3);
-        },
-        nullptr, nullptr);
+    if (plan.shardMajorOrder.size() != graph.numVertices())
+        panic("aggregateDelayedHalo: plan does not cover the graph");
+    auto run = [&](const auto &src) {
+        if (src.rows() != graph.numVertices())
+            panic("aggregateDelayedHalo: input rows differ from the "
+                  "plan's graph");
+        GRAPHITE_ASSERT(out.rows() == src.rows() && out.cols() == src.cols(),
+                        "out shape mismatch");
+        checkGather("aggregateDelayedHalo", src, graph, spec);
+        delayedHalo(plan, src, out, spec, config);
+    };
+    if (in.bf16 != nullptr)
+        run(Bf16Rows(*in.bf16));
+    else
+        run(DenseRows(*in.dense));
 }
 
 } // namespace graphite

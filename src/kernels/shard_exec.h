@@ -1,117 +1,39 @@
 /**
  * @file
- * Shard-major execution of the aggregation and fused kernels over a
- * PartitionPlan.
+ * Delayed-halo aggregation over a PartitionPlan (DistGNN-style) — the
+ * one plan-aware kernel.
  *
- * The global kernels parallelise over one flat vertex order, so on
- * graphs whose feature slice exceeds the LLC every task competes for
- * the same cache and hub rows re-stream from DRAM. The entries here
- * instead carve the thread-pool tasks from the plan's shard-major
- * order — tasks never span a shard boundary — so while a shard is in
- * flight its slice of the feature matrix stays cache-resident.
+ * Exact shard-major execution needs no kernel of its own: each row's
+ * result does not depend on which task computes it, so running the
+ * flat kernels over plan.shardMajorOrder (what GnnLayer does with
+ * shards >= 2) is bit-identical to flat execution and buys the same
+ * locality. Delayed halo is different because it changes what is
+ * gathered: each shard first folds its self + intra-shard terms from
+ * the local CSR, then gathers every halo row exactly *once* into a
+ * shard-local replica buffer and folds the cut-edge terms from the
+ * replica. Cross-shard hub rows are pulled once per shard instead of
+ * once per cut edge, so gathered bytes genuinely drop; the changed
+ * summation order makes Sum results fp-tolerant rather than bit-equal
+ * (Max stays exact — it is order-insensitive).
  *
- * Two aggregation modes:
- *  - **Exact** (default): every vertex still aggregates from the global
- *    CSR via the same per-vertex building blocks as the global kernels,
- *    so results are bit-identical for any shard count — only the
- *    processing order and task boundaries change. The win is locality
- *    (sim dram_lines / L2 hits), not gathered bytes.
- *  - **Delayed halo** (DistGNN-style, aggregation only): each shard
- *    first folds its self + intra-shard terms from the local CSR, then
- *    gathers every halo row exactly *once* into a shard-local replica
- *    buffer and folds the cut-edge terms from the replica. Cross-shard
- *    hub rows are pulled once per shard instead of once per cut edge,
- *    so gathered bytes genuinely drop; the changed summation order
- *    makes results fp-tolerant rather than bit-equal.
- *
- * All entries run each task under a "partition.shard" trace span and
- * feed the partition.bytes_gathered / partition.halo_bytes counters
- * (the fused entries additionally feed the fused.* counters with the
- * same semantics as the global driver).
+ * Each task runs under a "partition.shard" trace span and feeds the
+ * partition.bytes_gathered / partition.halo_bytes counters.
  */
 
 #pragma once
 
 #include "graph/partition/partition_plan.h"
 #include "kernels/aggregation.h"
-#include "kernels/fused_layer.h"
 
 namespace graphite {
 
 /**
- * Shard-major Algorithm 1: same math as aggregateBasic over
- * plan.shardMajorOrder, with shard-aligned tasks; @p delayedHalo
- * selects the two-phase replica mode described above (Sum and Max
- * reductions both supported — max is order-insensitive, so delayed
- * stays exact there).
+ * Delayed-halo Algorithm 1 over fp32 or bf16 rows (fp32 accumulation;
+ * Sum and Max reductions). Packed rows have no replica form and are
+ * rejected.
  */
-void aggregateSharded(const PartitionPlan &plan, const DenseMatrix &in,
-                      DenseMatrix &out, const AggregationSpec &spec,
-                      bool delayedHalo = false,
-                      const AggregationConfig &config = {});
-
-/** Bf16-input counterpart of aggregateSharded (fp32 accumulation). */
-void aggregateShardedBf16(const PartitionPlan &plan, const Bf16Matrix &in,
+void aggregateDelayedHalo(const PartitionPlan &plan, const GatherInput &in,
                           DenseMatrix &out, const AggregationSpec &spec,
-                          bool delayedHalo = false,
                           const AggregationConfig &config = {});
-
-/**
- * Shard-major fused layer kernels: Algorithm 2's per-block
- * aggregate→micro-GEMM loop with blocks carved from shard-aligned
- * tasks. Aggregation is exact (global CSR), so outputs are
- * bit-identical to the global fused kernels — gemmBlockSerial results
- * do not depend on how rows are grouped into blocks.
- * @{
- */
-void fusedLayerTrainingSharded(const PartitionPlan &plan,
-                               const DenseMatrix &in,
-                               const AggregationSpec &spec,
-                               const UpdateOp &update, DenseMatrix &aggOut,
-                               DenseMatrix &out,
-                               const FusedConfig &config = {});
-
-void fusedLayerInferenceSharded(const PartitionPlan &plan,
-                                const DenseMatrix &in,
-                                const AggregationSpec &spec,
-                                const UpdateOp &update, DenseMatrix &out,
-                                const FusedConfig &config = {},
-                                Bf16Matrix *outBf16 = nullptr);
-
-void fusedLayerTrainingShardedBf16(const PartitionPlan &plan,
-                                   const Bf16Matrix &in,
-                                   const AggregationSpec &spec,
-                                   const UpdateOp &update,
-                                   DenseMatrix &aggOut, DenseMatrix &out,
-                                   const FusedConfig &config = {});
-
-void fusedLayerInferenceShardedBf16(const PartitionPlan &plan,
-                                    const Bf16Matrix &in,
-                                    const AggregationSpec &spec,
-                                    const UpdateOp &update,
-                                    DenseMatrix &out,
-                                    const FusedConfig &config = {},
-                                    Bf16Matrix *outBf16 = nullptr);
-/** @} */
-
-/**
- * Shard-major fused backward: the commuted (Aggᵀdz)·Wᵀ pull-kernel of
- * fusedLayerBackward over a plan of the *transposed* graph.
- * @{
- */
-void fusedLayerBackwardSharded(const PartitionPlan &transposedPlan,
-                               const DenseMatrix &dz,
-                               const AggregationSpec &transposedSpec,
-                               const GemmPlan &weightsNT,
-                               DenseMatrix &gradIn,
-                               const FusedConfig &config = {});
-
-void fusedLayerBackwardShardedBf16(const PartitionPlan &transposedPlan,
-                                   const Bf16Matrix &dz,
-                                   const AggregationSpec &transposedSpec,
-                                   const GemmPlan &weightsNT,
-                                   DenseMatrix &gradIn,
-                                   const FusedConfig &config = {});
-/** @} */
 
 } // namespace graphite

@@ -7,17 +7,9 @@
 
 namespace graphite {
 
-namespace {
-std::size_t
-paddedStride(std::size_t cols)
-{
-    return (cols + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
-}
-} // namespace
-
 DenseMatrix::DenseMatrix(std::size_t rows, std::size_t cols)
-    : rows_(rows), cols_(cols), rowStride_(paddedStride(cols)),
-      storage_(rows * paddedStride(cols))
+    : rows_(rows), cols_(cols), rowStride_(paddedFloats(cols)),
+      storage_(rows * paddedFloats(cols))
 {
 }
 
@@ -26,14 +18,14 @@ DenseMatrix::resize(std::size_t rows, std::size_t cols)
 {
     rows_ = rows;
     cols_ = cols;
-    rowStride_ = paddedStride(cols);
+    rowStride_ = paddedFloats(cols);
     storage_.resize(rows * rowStride_);
 }
 
 void
 DenseMatrix::reshape(std::size_t rows, std::size_t cols)
 {
-    const std::size_t stride = paddedStride(cols);
+    const std::size_t stride = paddedFloats(cols);
     if (rows * stride > storage_.size()) {
         resize(rows, cols);
         return;

@@ -135,4 +135,11 @@ class DenseMatrix
 inline constexpr std::size_t kFloatsPerLine =
     kCacheLineBytes / sizeof(Feature);
 
+/** Row stride, in floats, of a @p cols-wide fp32 row padded to lines. */
+inline constexpr std::size_t
+paddedFloats(std::size_t cols)
+{
+    return (cols + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
+}
+
 } // namespace graphite

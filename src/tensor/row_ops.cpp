@@ -174,89 +174,46 @@ dropoutBackward(DenseMatrix &grad, double rate,
     });
 }
 
+namespace {
+
+/**
+ * Shared body of the two softmax cross-entropy variants: rows with
+ * mask[r] != 0 (every row when @p mask is empty) contribute to the loss
+ * and get d(loss)/d(logits) scaled by @p invCount; the rest are left
+ * untouched. Per-chunk loss partials are indexed by chunk id and
+ * summed serially in chunk order (columnSum's pattern), so the loss is
+ * bit-identical whatever the pool size or dynamic schedule.
+ *
+ * @return the summed (unnormalised) loss.
+ */
 double
-softmaxCrossEntropy(const DenseMatrix &logits,
-                    std::span<const std::int32_t> labels,
-                    DenseMatrix &gradOut)
+crossEntropyRows(const DenseMatrix &logits,
+                 std::span<const std::int32_t> labels,
+                 std::span<const std::uint8_t> mask, double invCount,
+                 DenseMatrix &gradOut)
 {
-    GRAPHITE_ASSERT(labels.size() == logits.rows(), "label count mismatch");
-    GRAPHITE_ASSERT(gradOut.rows() == logits.rows() &&
-                        gradOut.cols() == logits.cols(),
-                    "grad shape mismatch");
     const std::size_t rows = logits.rows();
     const std::size_t classes = logits.cols();
-    const double invRows = 1.0 / static_cast<double>(rows);
+    // Fixed chunk size, not derived from the thread count, so the
+    // grouping of the summation is a function of the input shape alone.
+    constexpr std::size_t kChunkRows = 256;
+    const std::size_t numChunks = (rows + kChunkRows - 1) / kChunkRows;
 
     // Grow-only per-thread scratch: the loss runs once per epoch from
     // the training loop, and reusing the reduction buffer keeps the
     // steady-state epoch allocation-free (test_alloc_guard.cpp).
     thread_local std::vector<double> partialLoss;
-    partialLoss.assign(ThreadPool::global().numThreads(), 0.0);
+    if (partialLoss.size() < numChunks)
+        partialLoss.resize(numChunks);
     // thread_local names are not captured by [&]: inside the pool
     // workers' lambda they would resolve to each worker's own (empty)
     // instance. Hand the workers the caller's buffer via a pointer.
     double *const partials = partialLoss.data();
-    parallelFor(0, rows, 256,
-                [&](std::size_t begin, std::size_t end, std::size_t tid) {
+    parallelFor(0, rows, kChunkRows,
+                [&](std::size_t begin, std::size_t end, std::size_t) {
         double loss = 0.0;
         for (std::size_t r = begin; r < end; ++r) {
-            const Feature *in = logits.row(r);
-            Feature *g = gradOut.row(r);
-            Feature maxLogit = in[0];
-            for (std::size_t c = 1; c < classes; ++c)
-                maxLogit = std::max(maxLogit, in[c]);
-            double denom = 0.0;
-            for (std::size_t c = 0; c < classes; ++c)
-                denom += std::exp(double{in[c]} - double{maxLogit});
-            const auto label = static_cast<std::size_t>(labels[r]);
-            GRAPHITE_ASSERT(label < classes, "label out of range");
-            for (std::size_t c = 0; c < classes; ++c) {
-                const double p =
-                    std::exp(double{in[c]} - double{maxLogit}) / denom;
-                g[c] = static_cast<Feature>(
-                    (p - (c == label ? 1.0 : 0.0)) * invRows);
-                if (c == label)
-                    loss -= std::log(std::max(p, 1e-30));
-            }
-        }
-        partials[tid] += loss;
-    });
-    double total = 0.0;
-    for (double part : partialLoss)
-        total += part;
-    return total * invRows;
-}
-
-double
-softmaxCrossEntropyMasked(const DenseMatrix &logits,
-                          std::span<const std::int32_t> labels,
-                          std::span<const std::uint8_t> mask,
-                          DenseMatrix &gradOut)
-{
-    GRAPHITE_ASSERT(labels.size() == logits.rows(), "label count mismatch");
-    GRAPHITE_ASSERT(mask.size() == logits.rows(), "mask count mismatch");
-    GRAPHITE_ASSERT(gradOut.rows() == logits.rows() &&
-                        gradOut.cols() == logits.cols(),
-                    "grad shape mismatch");
-    std::size_t masked = 0;
-    for (std::uint8_t m : mask)
-        masked += m != 0;
-    gradOut.zero();
-    if (masked == 0)
-        return 0.0;
-    const std::size_t classes = logits.cols();
-    const double invCount = 1.0 / static_cast<double>(masked);
-
-    // Same reused reduction scratch (and thread_local capture caveat)
-    // as the unmasked variant above.
-    thread_local std::vector<double> partialLoss;
-    partialLoss.assign(ThreadPool::global().numThreads(), 0.0);
-    double *const partials = partialLoss.data();
-    parallelFor(0, logits.rows(), 256,
-                [&](std::size_t begin, std::size_t end, std::size_t tid) {
-        double loss = 0.0;
-        for (std::size_t r = begin; r < end; ++r) {
-            if (!mask[r])
+            if (!mask.empty() && !mask[r])
                 continue;
             const Feature *in = logits.row(r);
             Feature *g = gradOut.row(r);
@@ -277,12 +234,51 @@ softmaxCrossEntropyMasked(const DenseMatrix &logits,
                     loss -= std::log(std::max(p, 1e-30));
             }
         }
-        partials[tid] += loss;
+        // parallelFor hands out [begin, end) ranges aligned to the
+        // chunk size, so begin identifies the partial slot.
+        partials[begin / kChunkRows] = loss;
     });
     double total = 0.0;
-    for (double part : partialLoss)
-        total += part;
-    return total * invCount;
+    for (std::size_t chunk = 0; chunk < numChunks; ++chunk)
+        total += partials[chunk];
+    return total;
+}
+
+} // namespace
+
+double
+softmaxCrossEntropy(const DenseMatrix &logits,
+                    std::span<const std::int32_t> labels,
+                    DenseMatrix &gradOut)
+{
+    GRAPHITE_ASSERT(labels.size() == logits.rows(), "label count mismatch");
+    GRAPHITE_ASSERT(gradOut.rows() == logits.rows() &&
+                        gradOut.cols() == logits.cols(),
+                    "grad shape mismatch");
+    const double invRows = 1.0 / static_cast<double>(logits.rows());
+    return crossEntropyRows(logits, labels, {}, invRows, gradOut) * invRows;
+}
+
+double
+softmaxCrossEntropyMasked(const DenseMatrix &logits,
+                          std::span<const std::int32_t> labels,
+                          std::span<const std::uint8_t> mask,
+                          DenseMatrix &gradOut)
+{
+    GRAPHITE_ASSERT(labels.size() == logits.rows(), "label count mismatch");
+    GRAPHITE_ASSERT(mask.size() == logits.rows(), "mask count mismatch");
+    GRAPHITE_ASSERT(gradOut.rows() == logits.rows() &&
+                        gradOut.cols() == logits.cols(),
+                    "grad shape mismatch");
+    std::size_t masked = 0;
+    for (std::uint8_t m : mask)
+        masked += m != 0;
+    gradOut.zero();
+    if (masked == 0)
+        return 0.0;
+    const double invCount = 1.0 / static_cast<double>(masked);
+    return crossEntropyRows(logits, labels, mask, invCount, gradOut) *
+           invCount;
 }
 
 double

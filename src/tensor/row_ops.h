@@ -69,7 +69,8 @@ void columnSum(const DenseMatrix &x, std::span<Feature> out,
  * @param logits   |V| x numClasses scores.
  * @param labels   per-row class ids.
  * @param gradOut  filled with d(loss)/d(logits) (softmax - onehot) / |V|.
- * @return mean loss.
+ * @return mean loss, bit-identical at any pool size (chunk-indexed
+ *         partials reduced in chunk order, as in columnSum).
  */
 double softmaxCrossEntropy(const DenseMatrix &logits,
                            std::span<const std::int32_t> labels,

@@ -16,6 +16,7 @@
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
 #include "kernels/aggregation.h"
+#include "obs/metrics.h"
 
 namespace graphite {
 namespace {
@@ -188,6 +189,39 @@ TEST_P(CompressedAggregation, MatchesDenseAggregation)
 
 INSTANTIATE_TEST_SUITE_P(Sparsities, CompressedAggregation,
                          testing::Values(0.0, 0.3, 0.5, 0.8, 0.95));
+
+// Compressed gathers count their stored traffic: the mean packed row
+// (values + mask) per gathered row, the same accounting as the fused
+// compressed kernel — so sparse inputs report fewer bytes than dense.
+TEST(Aggregation, CompressedGatherFeedsBytesGathered)
+{
+    CsrGraph g = graphFor(2);
+    DenseMatrix h(g.numVertices(), 128);
+    h.fillUniform(0.0f, 2.0f, 27);
+    h.sparsify(0.7, 28);
+    CompressedMatrix packed(g.numVertices(), 128);
+    packed.compressFrom(h);
+    DenseMatrix out(g.numVertices(), 128);
+    const AggregationSpec spec = gcnSpec(g);
+
+    obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
+    metrics.setEnabled(true);
+    metrics.reset();
+    aggregateCompressed(g, packed, out, spec);
+    const std::uint64_t packedBytes =
+        metrics.counter("agg.bytes_gathered").value();
+    metrics.reset();
+    aggregateBasic(g, h, out, spec);
+    const std::uint64_t denseBytes =
+        metrics.counter("agg.bytes_gathered").value();
+    metrics.setEnabled(false);
+
+    const std::uint64_t rows = g.numVertices() + g.numEdges();
+    EXPECT_EQ(packedBytes,
+              rows * (packed.compressedTrafficBytes() / g.numVertices()));
+    EXPECT_EQ(denseBytes, rows * h.rowBytes());
+    EXPECT_LT(packedBytes, denseBytes);
+}
 
 TEST(Aggregation, SingleVertexKernelMatchesRowOfFullKernel)
 {

@@ -461,7 +461,7 @@ TEST(Bf16FusedLayer, TrainingKeepsFp32AggForBackprop)
 
     DenseMatrix aggOut(g.numVertices(), 32);
     DenseMatrix out(g.numVertices(), 16);
-    fusedLayerTrainingBf16(g, packed, spec, update, aggOut, out);
+    fusedLayer(g, packed, spec, update, out, {.agg = &aggOut});
     for (VertexId v = 0; v < g.numVertices(); ++v) {
         for (std::size_t c = 0; c < 32; ++c)
             EXPECT_EQ(floatBits(aggOut.at(v, c)),

@@ -116,8 +116,7 @@ TEST(FusedLayer, CompressedInputMatchesDense)
 
     DenseMatrix agg(fx.graph.numVertices(), 128);
     DenseMatrix out(fx.graph.numVertices(), 96);
-    fusedLayerTrainingCompressed(fx.graph, packed, fx.spec, fx.update(),
-                                 agg, out);
+    fusedLayer(fx.graph, packed, fx.spec, fx.update(), out, {.agg = &agg});
     EXPECT_LT(agg.maxAbsDiff(refAgg), 1e-4);
     EXPECT_LT(out.maxAbsDiff(refOut), 1e-4);
 }

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
+#include <vector>
 #include <set>
 
 #include "graph/binary_io.h"
@@ -209,6 +212,58 @@ TEST(BinaryIo, RejectsForeignFiles)
     std::fclose(f);
     EXPECT_FALSE(isCsrFile(path));
     std::remove(path.c_str());
+}
+
+/**
+ * A GCSR file whose header declares @p numVertices / @p numEdges but
+ * whose body holds only @p bodyBytes zero bytes.
+ */
+std::string
+craftCsrHeader(const char *name, std::uint64_t numVertices,
+               std::uint64_t numEdges, std::size_t bodyBytes)
+{
+    const std::string path = testing::TempDir() + name;
+    FILE *f = std::fopen(path.c_str(), "wb");
+    const std::uint32_t version = 1;
+    std::fwrite("GCSR", 1, 4, f);
+    std::fwrite(&version, sizeof(version), 1, f);
+    std::fwrite(&numVertices, sizeof(numVertices), 1, f);
+    std::fwrite(&numEdges, sizeof(numEdges), 1, f);
+    const std::vector<char> body(bodyBytes, 0);
+    std::fwrite(body.data(), 1, body.size(), f);
+    std::fclose(f);
+    return path;
+}
+
+// |V| = 2^64 - 1 used to wrap numVertices + 1 to 0 and load silently as
+// an empty graph.
+TEST(BinaryIoDeathTest, RejectsVertexCountBeyondVertexId)
+{
+    const std::string path =
+        craftCsrHeader("wrap.gcsr", ~std::uint64_t{0}, 0, 64);
+    EXPECT_DEATH(loadCsr(path), "VertexId holds at most");
+    std::remove(path.c_str());
+}
+
+// |V| = 2^40 used to reach a multi-terabyte allocation and die in an
+// uncaught std::bad_alloc; a |V| that fits VertexId but not the file
+// must be rejected before allocating too.
+TEST(BinaryIoDeathTest, RejectsArraysLargerThanTheFile)
+{
+    const std::string huge =
+        craftCsrHeader("huge.gcsr", std::uint64_t{1} << 40, 0, 64);
+    EXPECT_DEATH(loadCsr(huge), "VertexId holds at most");
+    std::remove(huge.c_str());
+
+    const std::string shortBody =
+        craftCsrHeader("short.gcsr", 1000, 5000, 64);
+    EXPECT_DEATH(loadCsr(shortBody), "more than the 64 bytes left");
+    std::remove(shortBody.c_str());
+
+    const std::string manyEdges =
+        craftCsrHeader("edges.gcsr", 1, ~std::uint64_t{0} / 2, 64);
+    EXPECT_DEATH(loadCsr(manyEdges), "more than the 64 bytes left");
+    std::remove(manyEdges.c_str());
 }
 
 TEST(Datasets, AllFourAnaloguesGenerate)

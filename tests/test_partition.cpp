@@ -3,10 +3,11 @@
  * Tests of the cache-slice partitioner and shard-major execution:
  * PartitionPlan structural invariants (every edge exactly once, halo
  * lists = exact cross-shard fan-in, id round-trips), validate()'s
- * corruption detection, bit-parity of exact shard-major kernels vs the
- * global ones across models x precision x K, delayed-halo tolerance and
- * gather-byte accounting, the simulated DRAM-traffic win of the
- * shard-major order, and end-to-end training parity.
+ * corruption detection, bit-parity of a layer run with a plan (exact
+ * shard-major order) vs without one across models x precision x K,
+ * delayed-halo tolerance and gather-byte accounting, the simulated
+ * DRAM-traffic win of the shard-major order, and end-to-end training
+ * parity.
  */
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gnn/gnn_layer.h"
 #include "gnn/gnn_model.h"
 #include "gnn/trainer.h"
 #include "graph/datasets.h"
@@ -218,7 +220,8 @@ TEST(PartitionStats, GreedyBeatsHashOnCommunityGraph)
 }
 
 // ---------------------------------------------------------------------
-// Exact shard-major kernels must be bit-identical to the global ones.
+// Exact shard-major execution (a layer given a plan) must be
+// bit-identical to flat execution (the same layer without one).
 // ---------------------------------------------------------------------
 
 struct ShardedFixture
@@ -251,12 +254,50 @@ struct ShardedFixture
         bias.assign(fOut, 0.01f);
     }
 
-    UpdateOp
-    update(Precision precision = Precision::Fp32) const
+    /** Load the fixture's weights and bias into @p layer. */
+    void
+    init(GnnLayer &layer) const
     {
-        return UpdateOp{&weights, bias, true, nullptr, precision};
+        layer.weights() = weights;
+        layer.bias() = bias;
+    }
+
+    /** Upstream gradient dL/dh for the backward sweeps. */
+    DenseMatrix
+    gradOut() const
+    {
+        DenseMatrix dz(graph.numVertices(), weights.cols());
+        dz.fillUniform(-0.5f, 0.5f, 77);
+        return dz;
     }
 };
+
+/**
+ * One training forward (a^k and h^k) of @p layer, flat when @p plan is
+ * null, with @p inBf16 as the half-width gather source when non-null.
+ */
+LayerContext
+trainForward(const ShardedFixture &fx, const GnnLayer &layer,
+             const Bf16Matrix *inBf16, const PartitionPlan *plan,
+             const TechniqueConfig &tech)
+{
+    LayerContext ctx;
+    layer.forwardTraining(fx.graph, fx.spec, fx.input, nullptr, inBf16, ctx,
+                          {}, plan, tech);
+    return ctx;
+}
+
+/** dL/dh_prev of @p layer's backward from @p ctx over @p tPlan. */
+DenseMatrix
+gradIn(const ShardedFixture &fx, GnnLayer &layer, const CsrGraph &transposed,
+       const AggregationSpec &tSpec, const LayerContext &ctx,
+       const PartitionPlan *tPlan, const TechniqueConfig &tech)
+{
+    DenseMatrix dz = fx.gradOut();
+    DenseMatrix grad;
+    layer.backward(transposed, tSpec, ctx, dz, &grad, {}, tPlan, tech);
+    return grad;
+}
 
 class ShardedParity
     : public testing::TestWithParam<std::tuple<int, int>>
@@ -268,11 +309,13 @@ TEST_P(ShardedParity, AggregationMatchesGlobalBitwise)
     const auto [kindIdx, k] = GetParam();
     ShardedFixture fx(static_cast<GnnKind>(kindIdx));
     PartitionPlan plan = planFor(fx.graph, k);
-    DenseMatrix global(fx.graph.numVertices(), fx.input.cols());
-    DenseMatrix sharded(fx.graph.numVertices(), fx.input.cols());
-    aggregateBasic(fx.graph, fx.input, global, fx.spec);
-    aggregateSharded(plan, fx.input, sharded, fx.spec);
-    expectBitEqual(global, sharded);
+    GnnLayer layer(fx.input.cols(), fx.weights.cols(), true);
+    fx.init(layer);
+    const TechniqueConfig tech = TechniqueConfig::basic();
+    const LayerContext flat = trainForward(fx, layer, nullptr, nullptr, tech);
+    const LayerContext sharded = trainForward(fx, layer, nullptr, &plan, tech);
+    expectBitEqual(flat.agg, sharded.agg);
+    expectBitEqual(flat.output, sharded.output);
 }
 
 TEST_P(ShardedParity, FusedForwardMatchesGlobalBitwise)
@@ -281,20 +324,20 @@ TEST_P(ShardedParity, FusedForwardMatchesGlobalBitwise)
     ShardedFixture fx(static_cast<GnnKind>(kindIdx));
     PartitionPlan plan = planFor(fx.graph, k);
     const VertexId n = fx.graph.numVertices();
+    GnnLayer layer(fx.input.cols(), fx.weights.cols(), true);
+    fx.init(layer);
+    const TechniqueConfig tech = TechniqueConfig::withFusion();
 
-    DenseMatrix aggG(n, fx.input.cols()), outG(n, fx.weights.cols());
-    DenseMatrix aggS(n, fx.input.cols()), outS(n, fx.weights.cols());
-    fusedLayerTraining(fx.graph, fx.input, fx.spec, fx.update(), aggG,
-                       outG);
-    fusedLayerTrainingSharded(plan, fx.input, fx.spec, fx.update(), aggS,
-                              outS);
-    expectBitEqual(aggG, aggS);
-    expectBitEqual(outG, outS);
+    const LayerContext flat = trainForward(fx, layer, nullptr, nullptr, tech);
+    const LayerContext sharded = trainForward(fx, layer, nullptr, &plan, tech);
+    expectBitEqual(flat.agg, sharded.agg);
+    expectBitEqual(flat.output, sharded.output);
 
     DenseMatrix infG(n, fx.weights.cols()), infS(n, fx.weights.cols());
-    fusedLayerInference(fx.graph, fx.input, fx.spec, fx.update(), infG);
-    fusedLayerInferenceSharded(plan, fx.input, fx.spec, fx.update(),
-                               infS);
+    layer.forwardInference(fx.graph, fx.spec, fx.input, nullptr, nullptr,
+                           infG, nullptr, nullptr, {}, nullptr, tech);
+    layer.forwardInference(fx.graph, fx.spec, fx.input, nullptr, nullptr,
+                           infS, nullptr, nullptr, {}, &plan, tech);
     expectBitEqual(infG, infS);
 }
 
@@ -307,16 +350,12 @@ TEST_P(ShardedParity, FusedBackwardMatchesGlobalBitwise)
     CsrGraph transposed = fx.graph.transposed();
     AggregationSpec tSpec = transposeSpec(fx.graph, fx.spec, transposed);
     PartitionPlan tPlan = planFor(transposed, k);
-
-    const VertexId n = fx.graph.numVertices();
-    DenseMatrix dz(n, fx.weights.cols());
-    dz.fillUniform(-0.5f, 0.5f, 77);
-    GemmPlan weightsNT;
-    weightsNT.pack(GemmMode::NT, fx.weights, Precision::Fp32);
-    DenseMatrix gradG(n, fx.input.cols()), gradS(n, fx.input.cols());
-    fusedLayerBackward(transposed, dz, tSpec, weightsNT, gradG);
-    fusedLayerBackwardSharded(tPlan, dz, tSpec, weightsNT, gradS);
-    expectBitEqual(gradG, gradS);
+    GnnLayer layer(fx.input.cols(), fx.weights.cols(), true);
+    fx.init(layer);
+    const TechniqueConfig tech = TechniqueConfig::withFusion();
+    const LayerContext ctx = trainForward(fx, layer, nullptr, nullptr, tech);
+    expectBitEqual(gradIn(fx, layer, transposed, tSpec, ctx, nullptr, tech),
+                   gradIn(fx, layer, transposed, tSpec, ctx, &tPlan, tech));
 }
 
 TEST_P(ShardedParity, Bf16VariantsMatchGlobalBf16Bitwise)
@@ -327,21 +366,30 @@ TEST_P(ShardedParity, Bf16VariantsMatchGlobalBf16Bitwise)
     const VertexId n = fx.graph.numVertices();
     Bf16Matrix inBf16(n, fx.input.cols());
     inBf16.fromDense(fx.input);
+    GnnLayer layer(fx.input.cols(), fx.weights.cols(), true);
+    fx.init(layer);
 
-    DenseMatrix aggG(n, fx.input.cols()), aggS(n, fx.input.cols());
-    aggregateBf16(fx.graph, inBf16, aggG, fx.spec);
-    aggregateShardedBf16(plan, inBf16, aggS, fx.spec);
-    expectBitEqual(aggG, aggS);
+    TechniqueConfig tech = TechniqueConfig::basic();
+    tech.precision = Precision::Bf16;
+    const LayerContext aggG = trainForward(fx, layer, &inBf16, nullptr, tech);
+    const LayerContext aggS = trainForward(fx, layer, &inBf16, &plan, tech);
+    expectBitEqual(aggG.agg, aggS.agg);
 
-    DenseMatrix fAggG(n, fx.input.cols()), fOutG(n, fx.weights.cols());
-    DenseMatrix fAggS(n, fx.input.cols()), fOutS(n, fx.weights.cols());
-    const UpdateOp update = fx.update(Precision::Bf16);
-    fusedLayerTrainingBf16(fx.graph, inBf16, fx.spec, update, fAggG,
-                           fOutG);
-    fusedLayerTrainingShardedBf16(plan, inBf16, fx.spec, update, fAggS,
-                                  fOutS);
-    expectBitEqual(fAggG, fAggS);
-    expectBitEqual(fOutG, fOutS);
+    tech.fusion = true;
+    const LayerContext fusedG =
+        trainForward(fx, layer, &inBf16, nullptr, tech);
+    const LayerContext fusedS = trainForward(fx, layer, &inBf16, &plan, tech);
+    expectBitEqual(fusedG.agg, fusedS.agg);
+    expectBitEqual(fusedG.output, fusedS.output);
+
+    // The bf16 fused backward gathers rounded dz over the transposed
+    // plan's order.
+    CsrGraph transposed = fx.graph.transposed();
+    AggregationSpec tSpec = transposeSpec(fx.graph, fx.spec, transposed);
+    PartitionPlan tPlan = planFor(transposed, k);
+    expectBitEqual(
+        gradIn(fx, layer, transposed, tSpec, fusedG, nullptr, tech),
+        gradIn(fx, layer, transposed, tSpec, fusedG, &tPlan, tech));
 }
 
 INSTANTIATE_TEST_SUITE_P(ModelsAndShards, ShardedParity,
@@ -358,8 +406,8 @@ TEST(DelayedHalo, SumWithinToleranceOfExact)
     PartitionPlan plan = planFor(fx.graph, 4);
     DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
     DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregateSharded(plan, fx.input, exact, fx.spec, false);
-    aggregateSharded(plan, fx.input, delayed, fx.spec, true);
+    aggregateBasic(fx.graph, fx.input, exact, fx.spec);
+    aggregateDelayedHalo(plan, fx.input, delayed, fx.spec);
     expectNear(exact, delayed, 1e-3f);
 }
 
@@ -371,8 +419,8 @@ TEST(DelayedHalo, MaxReduceStaysExact)
     PartitionPlan plan = planFor(fx.graph, 4);
     DenseMatrix exact(fx.graph.numVertices(), fx.input.cols());
     DenseMatrix delayed(fx.graph.numVertices(), fx.input.cols());
-    aggregateSharded(plan, fx.input, exact, fx.spec, false);
-    aggregateSharded(plan, fx.input, delayed, fx.spec, true);
+    aggregateBasic(fx.graph, fx.input, exact, fx.spec);
+    aggregateDelayedHalo(plan, fx.input, delayed, fx.spec);
     expectBitEqual(exact, delayed);
 }
 
@@ -384,15 +432,17 @@ TEST(DelayedHalo, ReducesGatheredBytesAndMatchesEstimate)
         << "fixture must have hub fan-in for delayed mode to win";
     DenseMatrix out(fx.graph.numVertices(), fx.input.cols());
 
+    // Exact shard-major execution is the flat kernel over the plan's
+    // order, so its traffic is the flat kernel's agg.bytes_gathered.
     obs::MetricsRegistry &metrics = obs::MetricsRegistry::global();
     metrics.setEnabled(true);
     metrics.reset();
-    aggregateSharded(plan, fx.input, out, fx.spec, false);
+    aggregateBasic(fx.graph, fx.input, out, fx.spec, plan.shardMajorOrder);
     const std::uint64_t exactBytes =
-        metrics.counter("partition.bytes_gathered").value();
+        metrics.counter("agg.bytes_gathered").value();
 
     metrics.reset();
-    aggregateSharded(plan, fx.input, out, fx.spec, true);
+    aggregateDelayedHalo(plan, fx.input, out, fx.spec);
     const std::uint64_t delayedBytes =
         metrics.counter("partition.bytes_gathered").value();
     const std::uint64_t haloBytes =
@@ -407,6 +457,39 @@ TEST(DelayedHalo, ReducesGatheredBytesAndMatchesEstimate)
     EXPECT_EQ(haloBytes, static_cast<std::uint64_t>(
                              plan.totalHaloVertices()) *
                              fx.input.rowBytes());
+}
+
+// A layer under tech.delayedHalo runs the replica kernel (fusion falls
+// back to unfused) in forward and backward, for fp32 and bf16 gathers.
+TEST(DelayedHalo, LayerMatchesFlatWithinTolerance)
+{
+    ShardedFixture fx(GnnKind::Gcn);
+    PartitionPlan plan = planFor(fx.graph, 4);
+    CsrGraph transposed = fx.graph.transposed();
+    AggregationSpec tSpec = transposeSpec(fx.graph, fx.spec, transposed);
+    PartitionPlan tPlan = planFor(transposed, 4);
+    Bf16Matrix inBf16(fx.graph.numVertices(), fx.input.cols());
+    inBf16.fromDense(fx.input);
+    GnnLayer layer(fx.input.cols(), fx.weights.cols(), true);
+    fx.init(layer);
+
+    for (Precision precision : {Precision::Fp32, Precision::Bf16}) {
+        TechniqueConfig tech = TechniqueConfig::withFusion();
+        tech.precision = precision;
+        const LayerContext flat =
+            trainForward(fx, layer, &inBf16, nullptr, tech);
+        const DenseMatrix flatGrad =
+            gradIn(fx, layer, transposed, tSpec, flat, nullptr, tech);
+        tech.delayedHalo = true;
+        const LayerContext delayed =
+            trainForward(fx, layer, &inBf16, &plan, tech);
+        expectNear(flat.agg, delayed.agg, 1e-3f);
+        expectNear(flat.output, delayed.output, 1e-2f);
+        expectNear(flatGrad,
+                   gradIn(fx, layer, transposed, tSpec, delayed, &tPlan,
+                          tech),
+                   1e-2f);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -16,6 +17,7 @@
 
 #include "graph/generators.h"
 #include "kernels/aggregation.h"
+#include "parallel/thread_pool.h"
 #include "tensor/dense_matrix.h"
 #include "tensor/gemm.h"
 #include "tensor/row_ops.h"
@@ -528,6 +530,40 @@ TEST(RowOps, SoftmaxCrossEntropyMaskedParallelReductionMatchesSerial)
         softmaxCrossEntropyMasked(logits, labels, mask, grad);
     const double ref = serialCrossEntropy(logits, labels, mask.data());
     EXPECT_NEAR(loss, ref, 1e-9 * ref);
+}
+
+// The loss partials are indexed by fixed-size chunk and reduced in
+// chunk order, so both variants return the same bits at any pool size
+// (a per-thread reduction would group the sum by the dynamic schedule).
+TEST(RowOps, SoftmaxCrossEntropyBitwiseAcrossPoolSizes)
+{
+    const std::size_t rows = 4096;
+    const std::size_t classes = 8;
+    DenseMatrix logits(rows, classes);
+    logits.fillUniform(-2.0f, 2.0f, 23);
+    std::vector<std::int32_t> labels(rows);
+    std::vector<std::uint8_t> mask(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+        labels[i] = static_cast<std::int32_t>((i * 5) % classes);
+        mask[i] = static_cast<std::uint8_t>(i % 3 != 0);
+    }
+    const std::size_t defaultThreads = ThreadPool::global().numThreads();
+    std::vector<double> losses;
+    std::vector<double> maskedLosses;
+    for (std::size_t threads : {1, 2, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        DenseMatrix grad(rows, classes);
+        losses.push_back(softmaxCrossEntropy(logits, labels, grad));
+        maskedLosses.push_back(
+            softmaxCrossEntropyMasked(logits, labels, mask, grad));
+    }
+    ThreadPool::setGlobalThreads(defaultThreads);
+    for (std::size_t i = 1; i < losses.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(losses[i]),
+                  std::bit_cast<std::uint64_t>(losses[0]));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(maskedLosses[i]),
+                  std::bit_cast<std::uint64_t>(maskedLosses[0]));
+    }
 }
 
 TEST(RowOps, PerfectLogitsGiveLowLossAndFullAccuracy)

@@ -95,6 +95,32 @@ namespace {
 #if GRAPHITE_AGG_AVX512
 
 /**
+ * Unmasked AVX-512 ops written as zero-masked ones with every lane
+ * selected: the same instruction, but GCC 12's unmasked forms pass an
+ * _mm512_undefined_*() operand that raises -Wmaybe-uninitialized once
+ * inlined (GCC bug 105593) and so break -Werror builds.
+ * @{
+ */
+constexpr __mmask16 kAllLanes = 0xffff;
+
+inline __m512
+maxPs(__m512 a, __m512 b)
+{
+    return _mm512_maskz_max_ps(kAllLanes, a, b);
+}
+
+/** 16 bf16 lanes widened to fp32 (bits shifted into the high half). */
+inline __m512
+widenBf16x16(const std::uint16_t *src)
+{
+    const __m256i raw =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(src));
+    return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(
+        kAllLanes, _mm512_maskz_cvtepu16_epi32(kAllLanes, raw), 16));
+}
+/** @} */
+
+/**
  * Register-resident aggregation for feature vectors of Groups x 16
  * floats: the accumulator a_v lives entirely in zmm registers across all
  * neighbours, exactly what the paper's JIT-specialised kernels achieve
@@ -121,8 +147,7 @@ aggregateVertexZmm(const CsrGraph &graph, const DenseMatrix &in, VertexId v,
             if constexpr (Op == ReduceOp::Sum) {
                 acc[g] = _mm512_fmadd_ps(value, factor, acc[g]);
             } else {
-                acc[g] = _mm512_max_ps(
-                    acc[g], _mm512_mul_ps(value, factor));
+                acc[g] = maxPs(acc[g], _mm512_mul_ps(value, factor));
             }
         }
     }
@@ -252,10 +277,7 @@ combineBf16Row(const std::uint16_t *src, std::size_t f, Feature factor,
     if (f % 16 == 0) {
         const __m512 factorVec = _mm512_set1_ps(factor);
         for (std::size_t g = 0; g < f; g += 16) {
-            const __m256i raw = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(src + g));
-            const __m512 values = _mm512_castsi512_ps(
-                _mm512_slli_epi32(_mm512_cvtepu16_epi32(raw), 16));
+            const __m512 values = widenBf16x16(src + g);
             const __m512 acc = _mm512_loadu_ps(dst + g);
             if (reduce == ReduceOp::Sum) {
                 _mm512_storeu_ps(dst + g,
@@ -264,8 +286,7 @@ combineBf16Row(const std::uint16_t *src, std::size_t f, Feature factor,
             } else {
                 _mm512_storeu_ps(
                     dst + g,
-                    _mm512_max_ps(acc,
-                                  _mm512_mul_ps(values, factorVec)));
+                    maxPs(acc, _mm512_mul_ps(values, factorVec)));
             }
         }
         return;

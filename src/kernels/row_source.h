@@ -29,6 +29,7 @@
 
 #include "common/assert.h"
 #include "kernels/aggregation.h"
+#include "kernels/mean_gather.h"
 
 namespace graphite {
 
@@ -54,15 +55,6 @@ combineRow(Feature *dst, const Feature *src, Feature factor,
  */
 void combineBf16Row(const std::uint16_t *src, std::size_t width,
                     Feature factor, Feature *dst, ReduceOp reduce);
-
-/** Prefetch the first @p lines cache lines at @p row. */
-inline void
-prefetchLines(const void *row, std::size_t lines)
-{
-    const char *base = static_cast<const char *>(row);
-    for (std::size_t l = 0; l < lines; ++l)
-        __builtin_prefetch(base + l * kCacheLineBytes, 0, 3);
-}
 
 /** Full-precision rows: the zmm kernel table of aggregateVertex. */
 class DenseRows

@@ -12,24 +12,35 @@ namespace graphite {
 namespace {
 
 /**
- * Indexable neighbor row of @p v for the shared sampling core: a span
- * for CsrGraph, a snapshot RowView (base row then delta chain) for
+ * sampleNeighbors over one neighbor row (see the header contract): a
+ * span for CsrGraph, a snapshot RowView (base row then delta chain) for
  * DeltaCsr. Both offer size() and O(1)-amortized sequential
- * operator[], which is all the reservoir loop touches.
- * @{
+ * operator[].
  */
-inline std::span<const VertexId>
-neighborRowOf(const CsrGraph &graph, VertexId v)
+template <typename Row>
+std::size_t
+sampleRow(const Row &row, VertexId fanout, Rng &rng, VertexId *out)
 {
-    return graph.neighbors(v);
+    const std::size_t deg = row.size();
+    if (deg <= fanout) {
+        for (std::size_t j = 0; j < deg; ++j)
+            out[j] = row[j];
+        return deg;
+    }
+    // Floyd: for j = deg-fanout .. deg-1 draw t in [0, j]; keep t unless
+    // already picked, else keep j (never picked: every earlier pick is
+    // < j). Each fanout-subset comes out with equal probability.
+    std::size_t count = 0;
+    for (std::size_t j = deg - fanout; j < deg; ++j) {
+        const auto t = static_cast<VertexId>(rng.uniformInt(j + 1));
+        const bool taken = std::find(out, out + count, t) != out + count;
+        out[count++] = taken ? static_cast<VertexId>(j) : t;
+    }
+    std::sort(out, out + count);
+    for (std::size_t i = 0; i < count; ++i)
+        out[i] = row[out[i]];
+    return count;
 }
-
-inline DeltaCsr::RowView
-neighborRowOf(const DeltaCsr &graph, VertexId v)
-{
-    return graph.neighborsView(v);
-}
-/** @} */
 
 /**
  * Sample one bipartite block: destinations @p dst, per-destination up to
@@ -54,28 +65,12 @@ sampleBlock(const CsrGraph &graph, std::vector<VertexId> dst,
     std::vector<EdgeId> rowPtr(dst.size() + 1, 0);
     std::vector<VertexId> colIdx;
     colIdx.reserve(dst.size() * fanout);
-    std::vector<VertexId> reservoir(fanout);
+    std::vector<VertexId> picks(fanout);
     for (std::size_t i = 0; i < dst.size(); ++i) {
-        const VertexId v = dst[i];
-        const auto neighbors = graph.neighbors(v);
-        std::size_t sampled = 0;
-        if (neighbors.size() <= fanout) {
-            for (VertexId u : neighbors)
-                reservoir[sampled++] = u;
-        } else {
-            // Reservoir sampling of `fanout` neighbors without
-            // replacement.
-            for (std::size_t j = 0; j < fanout; ++j)
-                reservoir[j] = neighbors[j];
-            sampled = fanout;
-            for (std::size_t j = fanout; j < neighbors.size(); ++j) {
-                const std::size_t slot = rng.uniformInt(j + 1);
-                if (slot < fanout)
-                    reservoir[slot] = neighbors[j];
-            }
-        }
+        const std::size_t sampled =
+            sampleNeighbors(graph, dst[i], fanout, rng, picks.data());
         for (std::size_t j = 0; j < sampled; ++j) {
-            const VertexId u = reservoir[j];
+            const VertexId u = picks[j];
             auto [it, inserted] = localIndex.emplace(
                 u, static_cast<VertexId>(out.srcVertices.size()));
             if (inserted)
@@ -176,32 +171,16 @@ SamplerScratch::sampleTreeImpl(const GraphT &graph, VertexId seed,
         }
 
         const VertexId fanout = fanouts[k];
-        if (scratch.reservoir_.size() < fanout)
-            scratch.reservoir_.resize(fanout);
-        VertexId *const reservoir = scratch.reservoir_.data();
+        if (scratch.picks_.size() < fanout)
+            scratch.picks_.resize(fanout);
+        VertexId *const picks = scratch.picks_.data();
 
         block.rowPtr.push_back(0);
         for (const VertexId v : block.dstVertices) {
-            const auto neighbors = neighborRowOf(graph, v);
-            std::size_t sampled = 0;
-            if (neighbors.size() <= fanout) {
-                for (std::size_t j = 0; j < neighbors.size(); ++j)
-                    reservoir[sampled++] = neighbors[j];
-            } else {
-                // Reservoir sampling of `fanout` neighbors without
-                // replacement — identical draw order to sampleBlock so
-                // the two paths stay statistically interchangeable.
-                for (std::size_t j = 0; j < fanout; ++j)
-                    reservoir[j] = neighbors[j];
-                sampled = fanout;
-                for (std::size_t j = fanout; j < neighbors.size(); ++j) {
-                    const std::size_t slot = rng.uniformInt(j + 1);
-                    if (slot < fanout)
-                        reservoir[slot] = neighbors[j];
-                }
-            }
+            const std::size_t sampled =
+                sampleNeighbors(graph, v, fanout, rng, picks);
             for (std::size_t j = 0; j < sampled; ++j) {
-                const VertexId u = reservoir[j];
+                const VertexId u = picks[j];
                 if (scratch.stamp_[u] != scratch.epoch_) {
                     scratch.stamp_[u] = scratch.epoch_;
                     scratch.local_[u] =
@@ -214,6 +193,20 @@ SamplerScratch::sampleTreeImpl(const GraphT &graph, VertexId seed,
                 static_cast<EdgeId>(block.colIdx.size()));
         }
     }
+}
+
+std::size_t
+sampleNeighbors(const CsrGraph &graph, VertexId v, VertexId fanout,
+                Rng &rng, VertexId *out)
+{
+    return sampleRow(graph.neighbors(v), fanout, rng, out);
+}
+
+std::size_t
+sampleNeighbors(const DeltaCsr &graph, VertexId v, VertexId fanout,
+                Rng &rng, VertexId *out)
+{
+    return sampleRow(graph.neighborsView(v), fanout, rng, out);
 }
 
 void

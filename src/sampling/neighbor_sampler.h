@@ -80,6 +80,27 @@ std::vector<std::vector<VertexId>> makeEpochBatches(const CsrGraph &graph,
                                                     Rng &rng);
 
 /**
+ * Draw min(deg(v), fanout) distinct neighbors of @p v uniformly at
+ * random without replacement into @p out (room for @p fanout ids) and
+ * return how many were drawn — the one sampling core behind
+ * sampleMiniBatch and sampleTree.
+ *
+ * A vertex with deg <= fanout keeps its whole row in row order and
+ * draws nothing. Otherwise Floyd's algorithm picks @p fanout row
+ * positions with exactly @p fanout RNG draws, whatever the degree, and
+ * the positions are resolved in ascending order, so the neighbor row
+ * is read front to back (for a DeltaCsr, the RowView's sequential
+ * chain cursor never restarts). The output is therefore ordered by row
+ * position.
+ * @{
+ */
+std::size_t sampleNeighbors(const CsrGraph &graph, VertexId v,
+                            VertexId fanout, Rng &rng, VertexId *out);
+std::size_t sampleNeighbors(const DeltaCsr &graph, VertexId v,
+                            VertexId fanout, Rng &rng, VertexId *out);
+/** @} */
+
+/**
  * Deterministic per-request RNG seed: splitmix64 of the request id.
  * Serving samples each request's neighborhood with Rng(requestSeed(id)),
  * so an offline replay of the same request id reproduces the sampled
@@ -161,14 +182,14 @@ class SamplerScratch
     std::vector<VertexId> local_;      ///< local index, valid iff stamped
     std::vector<std::uint32_t> stamp_; ///< epoch that wrote local_[v]
     std::uint32_t epoch_ = 0;
-    std::vector<VertexId> reservoir_;  ///< per-destination sample buffer
+    std::vector<VertexId> picks_;      ///< per-destination sample buffer
 };
 
 /**
  * SAMPLE_k for a single seed vertex into reusable flat blocks: the
  * serving-path analogue of sampleMiniBatch. Layer K's destination set
  * is {seed}; each layer's source set is its destination set plus up to
- * fanouts[k] reservoir-sampled neighbors per destination. @p tree's
+ * fanouts[k] neighbors per destination drawn by sampleNeighbors. @p tree's
  * vectors are clear()ed and refilled, retaining capacity, so a warmed
  * tree+scratch pair samples with zero heap allocations.
  */
@@ -178,8 +199,8 @@ void sampleTree(const CsrGraph &graph, VertexId seed,
 
 /**
  * sampleTree over a delta-CSR overlay: neighbor lists are the base row
- * followed by published delta edges. The reservoir draw sequence is
- * identical to the CsrGraph overload given the same neighbor sequence,
+ * followed by published delta edges. The draw sequence is identical
+ * to the CsrGraph overload given the same neighbor sequence,
  * so a vertex with no delta edges samples the exact same tree as it
  * would on the base graph — which is what makes an overlay holding
  * zero deltas bitwise-interchangeable with its base.

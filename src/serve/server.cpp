@@ -5,7 +5,7 @@
 #include <functional>
 
 #include "common/assert.h"
-#include "kernels/overlay_gather.h"
+#include "kernels/mean_gather.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tensor/gemm.h"
@@ -228,14 +228,17 @@ InferenceServer::forwardBatch(ForwardScratch &scratch, std::size_t n,
     // the batch is block-diagonal, so each tree (and through the
     // row-independent GEMM, each embedding) is a pure function of the
     // request id, whatever else shares the batch.
-    for (std::size_t r = 0; r < n; ++r) {
-        Rng rng(requestSeed(scratch.batch[r].id));
-        if (overlay_ != nullptr) {
-            sampleTree(*overlay_, scratch.batch[r].vertex, fanouts, rng,
-                       scratch.sampler, scratch.trees[r]);
-        } else {
-            sampleTree(graph_, scratch.batch[r].vertex, fanouts, rng,
-                       scratch.sampler, scratch.trees[r]);
+    {
+        GRAPHITE_TRACE_SPAN("serve.sample");
+        for (std::size_t r = 0; r < n; ++r) {
+            Rng rng(requestSeed(scratch.batch[r].id));
+            if (overlay_ != nullptr) {
+                sampleTree(*overlay_, scratch.batch[r].vertex, fanouts,
+                           rng, scratch.sampler, scratch.trees[r]);
+            } else {
+                sampleTree(graph_, scratch.batch[r].vertex, fanouts, rng,
+                           scratch.sampler, scratch.trees[r]);
+            }
         }
     }
 
@@ -280,63 +283,63 @@ InferenceServer::forwardBatch(ForwardScratch &scratch, std::size_t n,
         const DenseMatrix &src = k > 0 ? scratch.out[k - 1] : features_;
         const Bytes srcRowBytes = src.rowBytes();
 
-        for (std::size_t r = 0; r < n; ++r) {
-            const FlatBlock &block = scratch.trees[r].blocks[k];
-            const std::size_t numDst = block.dstVertices.size();
-            const std::size_t srcBase = k > 0 ? prevOff[r] : 0;
-            for (std::size_t i = 0; i < numDst; ++i) {
-                Feature *dstRow = agg.row(off[r] + i);
-                if (k == 0 && hubExact) {
-                    const VertexId v = block.dstVertices[i];
-                    const EdgeId deg = liveDegree(v);
-                    if (cache_.admits(deg)) {
-                        if (cacheActive && cache_.lookup(v, dstRow)) {
-                            // Hub hit: one cached row read replaces
-                            // the whole fan-in gather.
-                            bytes += srcRowBytes;
+        {
+            GRAPHITE_TRACE_SPAN("serve.gather");
+            for (std::size_t r = 0; r < n; ++r) {
+                const FlatBlock &block = scratch.trees[r].blocks[k];
+                const std::size_t numDst = block.dstVertices.size();
+                const std::size_t srcBase = k > 0 ? prevOff[r] : 0;
+                // Local source index j → its input row: layer 0 reads
+                // the feature table, deeper layers the previous layer's
+                // output rows of this request.
+                const auto srcRow = [&](std::size_t j) {
+                    return k > 0 ? src.row(srcBase + j)
+                                 : src.row(block.srcVertices[j]);
+                };
+                for (std::size_t i = 0; i < numDst; ++i) {
+                    Feature *dstRow = agg.row(off[r] + i);
+                    if (k == 0 && hubExact) {
+                        const VertexId v = block.dstVertices[i];
+                        const EdgeId deg = liveDegree(v);
+                        if (cache_.admits(deg)) {
+                            if (cacheActive && cache_.lookup(v, dstRow)) {
+                                // Hub hit: one cached row read
+                                // replaces the whole fan-in gather.
+                                bytes += srcRowBytes;
+                                continue;
+                            }
+                            // Stale-fill protocol: snapshot the shard
+                            // fill epoch *before* gathering; a
+                            // concurrent edge insert on this shard
+                            // bumps it, and putIfFresh then discards
+                            // this row rather than installing
+                            // pre-insert adjacency.
+                            const std::uint64_t epoch =
+                                cacheActive ? cache_.fillEpoch(v) : 0;
+                            gatherFullMeanRow(v, dstRow);
+                            bytes += (deg + 1) * srcRowBytes;
+                            if (cacheActive)
+                                cache_.putIfFresh(v, dstRow, epoch);
                             continue;
                         }
-                        // Stale-fill protocol: snapshot the shard fill
-                        // epoch *before* gathering; a concurrent edge
-                        // insert on this shard bumps it, and
-                        // putIfFresh then discards this row rather
-                        // than installing pre-insert adjacency.
-                        const std::uint64_t epoch =
-                            cacheActive ? cache_.fillEpoch(v) : 0;
-                        gatherFullMeanRow(v, dstRow);
-                        bytes += (deg + 1) * srcRowBytes;
-                        if (cacheActive)
-                            cache_.putIfFresh(v, dstRow, epoch);
-                        continue;
                     }
+                    // Sampled SAGE-mean: self row plus sampled
+                    // neighbors, scaled by 1/(fan-in + 1). Local source
+                    // index i is the destination's own row (dst set
+                    // prefixes src).
+                    const EdgeId rowBegin = block.rowPtr[i];
+                    const std::size_t fanIn = block.rowPtr[i + 1] - rowBegin;
+                    const VertexId *cols = block.colIdx.data() + rowBegin;
+                    meanGather(
+                        srcRow(i), fanIn,
+                        [&](std::size_t e) { return srcRow(cols[e]); }, inF,
+                        dstRow);
+                    bytes += (1 + fanIn) * srcRowBytes;
                 }
-                // Sampled SAGE-mean: self row plus sampled neighbors,
-                // scaled by 1/(fan-in + 1). Local source index i is
-                // the destination's own row (dst set prefixes src).
-                const Feature *selfRow =
-                    k > 0 ? src.row(srcBase + i)
-                          : src.row(block.srcVertices[i]);
-                for (std::size_t c = 0; c < inF; ++c)
-                    dstRow[c] = selfRow[c];
-                const EdgeId rowBegin = block.rowPtr[i];
-                const EdgeId rowEnd = block.rowPtr[i + 1];
-                for (EdgeId e = rowBegin; e < rowEnd; ++e) {
-                    const std::size_t j = block.colIdx[e];
-                    const Feature *neighborRow =
-                        k > 0 ? src.row(srcBase + j)
-                              : src.row(block.srcVertices[j]);
-                    for (std::size_t c = 0; c < inF; ++c)
-                        dstRow[c] += neighborRow[c];
-                }
-                const float scale =
-                    1.0f /
-                    (1.0f + static_cast<float>(rowEnd - rowBegin));
-                for (std::size_t c = 0; c < inF; ++c)
-                    dstRow[c] *= scale;
-                bytes += (1 + rowEnd - rowBegin) * srcRowBytes;
             }
         }
 
+        GRAPHITE_TRACE_SPAN("serve.update");
         gemmBlockSerial(agg.row(0), totalDst, agg.rowStride(),
                         layer.packedWeights(config_.precision),
                         outM.row(0), outM.rowStride(), inF);
@@ -377,13 +380,14 @@ InferenceServer::forwardBatch(ForwardScratch &scratch, std::size_t n,
     batchesCounter.increment();
     bytesCounter.add(bytes);
     batchSizeHist.observe(n);
-    // Release-publish the batch: every req.out/req.latencyUs write
-    // above happens-before a reader that acquires requestsServed via
-    // stats() and observes the bumped count — the only completion
-    // signal a producer can poll before reading its output row.
-    requestsServed_.fetch_add(n, std::memory_order_release);
+    // Release-publish the batch: every req.out/req.latencyUs write and
+    // counter bump above happens-before a reader that acquires
+    // requestsServed via stats() and observes the bumped count — the
+    // only completion signal a producer can poll before reading its
+    // output row or the batch's gathered bytes.
     batchesServed_.fetch_add(1, std::memory_order_relaxed);
     bytesGathered_.fetch_add(bytes, std::memory_order_relaxed);
+    requestsServed_.fetch_add(n, std::memory_order_release);
 }
 
 void

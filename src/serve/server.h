@@ -91,11 +91,13 @@ struct ServeConfig
  *
  * requestsServed is also the result-publication edge: the consumer
  * bumps it with a release fetch_add after writing every request's
- * output row and latency slot, and stats() reads it with acquire — a
- * producer that polls stats() until requestsServed covers its request
- * may then read the request's InferenceRequest::out/latencyUs storage
- * without further synchronization (the load generator's quiesce loop
- * and the churn tests rely on this).
+ * output row and latency slot and after bumping the batch and byte
+ * counters, and stats() reads it first with acquire — a producer that
+ * polls stats() until requestsServed covers its request may then read
+ * the request's InferenceRequest::out/latencyUs storage without
+ * further synchronization, and the same snapshot's batchesServed and
+ * bytesGathered include that request's batch (the load generator's
+ * quiesce loop and the churn and cache-traffic tests rely on this).
  */
 struct ServeStats
 {

@@ -4,18 +4,22 @@
  * kernel against the scalar reference across graph shapes, feature
  * widths and ψ specs; compressed-input aggregation against dense; and
  * the order-invariance property (a processing order permutes work, not
- * results).
+ * results); and the serving mean gather against its scalar loop.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
+#include "common/rng.h"
 #include "compress/compressed_matrix.h"
+#include "graph/delta_csr.h"
 #include "graph/generators.h"
 #include "graph/graph_builder.h"
 #include "graph/reorder.h"
 #include "kernels/aggregation.h"
+#include "kernels/mean_gather.h"
 #include "obs/metrics.h"
 
 namespace graphite {
@@ -276,6 +280,103 @@ TEST(Aggregation, ValidateSpecCatchesFactorLengthMismatch)
     AggregationSpec shortSelf = gcnSpec(g);
     shortSelf.selfFactors.pop_back();
     EXPECT_NE(validateSpec(shortSelf, g), nullptr);
+}
+
+/**
+ * The scalar loop the mean gather replaced: self, then each row in
+ * list order, then the scale — column by column.
+ */
+void
+scalarMeanRow(const DenseMatrix &features, VertexId self,
+              const std::vector<VertexId> &rows, Feature *dst)
+{
+    const std::size_t cols = features.cols();
+    for (std::size_t c = 0; c < cols; ++c)
+        dst[c] = features.row(self)[c];
+    for (const VertexId u : rows) {
+        for (std::size_t c = 0; c < cols; ++c)
+            dst[c] += features.row(u)[c];
+    }
+    const float scale = 1.0f / (1.0f + static_cast<float>(rows.size()));
+    for (std::size_t c = 0; c < cols; ++c)
+        dst[c] *= scale;
+}
+
+void
+expectBitwiseRow(const std::vector<Feature> &got,
+                 const std::vector<Feature> &want, const char *what,
+                 std::size_t width, VertexId v)
+{
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          width * sizeof(Feature)),
+              0)
+        << what << ": width " << width << ", vertex " << v;
+}
+
+constexpr std::size_t kGatherWidths[] = {1, 16, 37, 256};
+
+TEST(MeanGather, RowListBitwiseMatchesScalarLoop)
+{
+    // Fan-ins straddle the prefetch look-ahead (kMeanGatherAhead).
+    for (const std::size_t width : kGatherWidths) {
+        DenseMatrix features(64, width);
+        features.fillUniform(-1.0f, 1.0f, 41);
+        Rng rng(42);
+        for (const std::size_t fanIn : {0, 1, 3, 4, 5, 9, 40}) {
+            std::vector<VertexId> rows(fanIn);
+            for (VertexId &u : rows)
+                u = static_cast<VertexId>(rng.uniformInt(64));
+            const auto self = static_cast<VertexId>(rng.uniformInt(64));
+            std::vector<Feature> got(width);
+            std::vector<Feature> want(width);
+            meanGather(
+                features.row(self), rows.size(),
+                [&](std::size_t i) { return features.row(rows[i]); },
+                width, got.data());
+            scalarMeanRow(features, self, rows, want.data());
+            expectBitwiseRow(got, want, "row list", width, self);
+        }
+    }
+}
+
+TEST(MeanGather, FullMeanRowBitwiseMatchesScalarLoopOnCsrAndOverlay)
+{
+    // Vertices 60..69 have no base edges; deltas land on a hub (three
+    // chain segments after its base row), on an empty row, and on a
+    // low-degree row, so overlay rows mix base and delta entries.
+    const CsrGraph base = generateBarabasiAlbert(60, 4, 43);
+    GraphBuilder builder(70);
+    for (VertexId v = 0; v < base.numVertices(); ++v)
+        for (const VertexId u : base.neighbors(v))
+            builder.addEdge(v, u);
+    DeltaCsr overlay(builder.build(), 64);
+    const CsrGraph &csr = overlay.base();
+    for (VertexId u = 40; u < 70; ++u)
+        overlay.addEdge(0, u);
+    overlay.addEdge(65, 1);
+    overlay.addEdge(65, 2);
+    overlay.addEdge(7, 69);
+    ASSERT_GT(overlay.deltaDegree(0), 2 * DeltaCsr::kSegmentEdges);
+
+    for (const std::size_t width : kGatherWidths) {
+        DenseMatrix features(70, width);
+        features.fillUniform(-1.0f, 1.0f, 44);
+        std::vector<Feature> got(width);
+        std::vector<Feature> want(width);
+        for (VertexId v = 0; v < 70; ++v) {
+            const auto baseRow = csr.neighbors(v);
+            std::vector<VertexId> rows(baseRow.begin(), baseRow.end());
+            fullMeanRow(csr, features, v, got.data());
+            scalarMeanRow(features, v, rows, want.data());
+            expectBitwiseRow(got, want, "CsrGraph", width, v);
+
+            overlay.forEachDeltaNeighbor(
+                v, [&](VertexId u) { rows.push_back(u); });
+            fullMeanRow(overlay, features, v, got.data());
+            scalarMeanRow(features, v, rows, want.data());
+            expectBitwiseRow(got, want, "DeltaCsr", width, v);
+        }
+    }
 }
 
 } // namespace

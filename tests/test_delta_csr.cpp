@@ -266,6 +266,49 @@ TEST(OverlaySampling, ZeroDeltaOverlaySamplesBitwiseLikeBase)
     }
 }
 
+TEST(OverlaySampling, MultiSegmentRowSamplesOnlyTrueNeighbors)
+{
+    // Vertex 0: base row {1..5}, then 35 delta edges {6..40} spread
+    // over five chain segments. Floyd draws land anywhere in the row,
+    // so resolving them must walk the chain correctly.
+    GraphBuilder builder(64);
+    for (VertexId u = 1; u <= 5; ++u)
+        builder.addEdge(0, u);
+    DeltaCsr overlay(builder.build(), 64);
+    for (VertexId u = 6; u <= 40; ++u)
+        ASSERT_EQ(overlay.addEdge(0, u), DeltaCsr::AddEdge::Added);
+    ASSERT_GE(overlay.deltaDegree(0), 3 * DeltaCsr::kSegmentEdges);
+    // Base then ascending deltas is also the compacted row's order.
+    const CsrGraph compacted = overlay.compacted();
+
+    constexpr VertexId kFanout = 10;
+    std::vector<VertexId> picks(kFanout);
+    std::vector<VertexId> expect(kFanout);
+    std::vector<int> seen(41, 0);
+    Rng rng(17);
+    Rng rngCompacted(17);
+    for (int rep = 0; rep < 400; ++rep) {
+        const std::size_t n =
+            sampleNeighbors(overlay, 0, kFanout, rng, picks.data());
+        ASSERT_EQ(n, kFanout);
+        ASSERT_EQ(sampleNeighbors(compacted, 0, kFanout, rngCompacted,
+                                  expect.data()),
+                  kFanout);
+        EXPECT_EQ(picks, expect) << "overlay and compacted rows disagree";
+        for (std::size_t j = 0; j < n; ++j) {
+            ASSERT_GE(picks[j], 1u);
+            ASSERT_LE(picks[j], 40u);
+            if (j > 0) {
+                ASSERT_LT(picks[j - 1], picks[j])
+                    << "repeat or out of order";
+            }
+            ++seen[picks[j]];
+        }
+    }
+    for (VertexId u = 1; u <= 40; ++u)
+        EXPECT_GT(seen[u], 0) << "neighbor " << u << " never drawn";
+}
+
 TEST(OverlaySampling, DeltaEdgesParticipateInSampling)
 {
     // A vertex whose neighbors are all delta edges still samples a

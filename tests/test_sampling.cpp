@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
 #include <set>
 
 #include "graph/generators.h"
@@ -13,6 +15,91 @@
 
 namespace graphite {
 namespace {
+
+/** Vertex 0 points at 1..deg, ascending; every other row is empty. */
+CsrGraph
+starGraph(VertexId deg)
+{
+    std::vector<EdgeId> rowPtr(static_cast<std::size_t>(deg) + 2, deg);
+    rowPtr[0] = 0;
+    std::vector<VertexId> colIdx(deg);
+    for (VertexId i = 0; i < deg; ++i)
+        colIdx[i] = i + 1;
+    return CsrGraph(std::move(rowPtr), std::move(colIdx));
+}
+
+/**
+ * Chi-square-style uniformity check of sampleNeighbors at one degree:
+ * over @p trials draws from the star centre, neighbor i's inclusion
+ * count is Binomial(trials, p) with p = fanout/deg, so
+ * X = Σ (count - trials·p)² / (trials·p·(1-p)) has mean deg. A biased
+ * sampler (position-dependent inclusion) lands far above the bound.
+ */
+void
+expectUniformInclusion(VertexId deg, VertexId fanout, std::size_t trials,
+                       std::uint64_t seed)
+{
+    const CsrGraph star = starGraph(deg);
+    std::vector<std::uint64_t> counts(deg + 1, 0);
+    std::vector<VertexId> picks(fanout);
+    Rng rng(seed);
+    for (std::size_t t = 0; t < trials; ++t) {
+        const std::size_t n =
+            sampleNeighbors(star, 0, fanout, rng, picks.data());
+        ASSERT_EQ(n, fanout);
+        for (std::size_t j = 0; j < n; ++j)
+            ++counts[picks[j]];
+    }
+    const double p = static_cast<double>(fanout) / deg;
+    const double expected = trials * p;
+    const double variance = trials * p * (1.0 - p);
+    double chi2 = 0.0;
+    for (VertexId u = 1; u <= deg; ++u) {
+        const double d = static_cast<double>(counts[u]) - expected;
+        chi2 += d * d / variance;
+    }
+    // Mean deg, standard deviation ~sqrt(2·deg): six sigma of headroom.
+    const double bound = deg + 6.0 * std::sqrt(2.0 * deg);
+    EXPECT_LT(chi2, bound) << "deg " << deg << ", fanout " << fanout;
+    std::printf("inclusion chi2 deg=%u fanout=%u: %.1f (bound %.1f)\n",
+                deg, fanout, chi2, bound);
+}
+
+TEST(Sampler, InclusionIsUniformJustAboveFanout)
+{
+    expectUniformInclusion(11, 10, 4000, 101);
+}
+
+TEST(Sampler, InclusionIsUniformOnHubRows)
+{
+    expectUniformInclusion(1000, 10, 20000, 102);
+}
+
+TEST(Sampler, SampleNeighborsDrawsMinDegFanoutDistinctInRowOrder)
+{
+    Rng rng(103);
+    for (const VertexId deg : {0u, 1u, 5u, 10u, 11u, 37u, 1000u}) {
+        const CsrGraph star = starGraph(deg);
+        for (const VertexId fanout : {0u, 1u, 10u}) {
+            std::vector<VertexId> picks(fanout);
+            for (int rep = 0; rep < 20; ++rep) {
+                const std::size_t n =
+                    sampleNeighbors(star, 0, fanout, rng, picks.data());
+                ASSERT_EQ(n, std::min(deg, fanout))
+                    << "deg " << deg << ", fanout " << fanout;
+                for (std::size_t j = 0; j < n; ++j) {
+                    ASSERT_GE(picks[j], 1u);
+                    ASSERT_LE(picks[j], deg);
+                    // Strictly ascending: distinct, and resolved in row
+                    // order (the star's row is sorted).
+                    if (j > 0) {
+                        ASSERT_LT(picks[j - 1], picks[j]);
+                    }
+                }
+            }
+        }
+    }
+}
 
 TEST(Sampler, FanoutBoundsSampledDegree)
 {
